@@ -1,4 +1,4 @@
-//! Criterion bench of the incremental indexed engine (`MT-LR-IDX`) at widths
+//! Criterion bench of the incremental indexed engine (`MT-LR-PAR`) at widths
 //! 4–6 on the redundant-binary Kogge-Stone architecture whose term growth
 //! the index was built to contain, plus the scan-based MT-LR reference at
 //! width 4 for scale (at width 6 the reference runs for seconds, so only the
@@ -17,10 +17,10 @@ fn bench_indexed_reduction(c: &mut Criterion) {
             .expect("architecture")
             .build();
         group.bench_with_input(
-            BenchmarkId::new("MT-LR-IDX/SP-RT-KS", width),
+            BenchmarkId::new("MT-LR-PAR/SP-RT-KS", width),
             &netlist,
             |b, nl| {
-                b.iter(|| session_verify(nl, width, Method::MtLrIdx));
+                b.iter(|| session_verify(nl, width, Method::MtLrPar));
             },
         );
     }

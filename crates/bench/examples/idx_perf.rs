@@ -1,6 +1,6 @@
 //! Quick perf probe for one (architecture, width, method) instance:
-//! `cargo run --release -p gbmv-bench --example idx_perf -- SP-RT-KS 8 idx`.
-//! Methods: `lr` (MT-LR), `idx` (MT-LR-IDX, default), `par` (MT-LR-PAR).
+//! `cargo run --release -p gbmv-bench --example idx_perf -- SP-RT-KS 8 par`.
+//! Methods: `lr` (MT-LR), `par` (MT-LR-PAR, default).
 //! Budget comes from the `GBMV_*` environment variables.
 
 use gbmv_bench::{build_architecture, HarnessConfig};
@@ -11,10 +11,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let arch = args.get(1).map(String::as_str).unwrap_or("SP-RT-KS");
     let width: usize = args.get(2).and_then(|w| w.parse().ok()).unwrap_or(8);
-    let method = match args.get(3).map(String::as_str).unwrap_or("idx") {
-        "lr" => Method::MtLr,
-        "par" => Method::MtLrPar,
-        _ => Method::MtLrIdx,
+    let method = match args.get(3).map(String::as_str) {
+        Some("lr") => Method::MtLr,
+        _ => Method::MtLrPar,
     };
     let config = HarnessConfig::from_env();
     let netlist = build_architecture(arch, width);

@@ -215,12 +215,11 @@ pub fn run_algebraic(
 
 /// Runs the comparison portfolio of the paper's Table I/II rows — the SAT
 /// miter baseline (`CEC`), MT-FO, MT-LR, plus this repo's incremental
-/// indexed engine (`MT-LR-IDX`) and parallel output-cone engine
-/// (`MT-LR-PAR`) — against one extracted model.
+/// indexed engine (`MT-LR-PAR`) — against one extracted model.
 ///
 /// Per-strategy elapsed times exclude the (shared, amortized) Step-1 model
 /// extraction; counterexample search is disabled so a `FAIL` cell stays
-/// cheap. The parallel engine's worker count follows `GBMV_THREADS` (else
+/// cheap. The indexed engine's worker count follows `GBMV_THREADS` (else
 /// the machine's parallelism) via [`Budget::effective_threads`].
 pub fn table_portfolio(arch: &str, width: usize, config: &HarnessConfig) -> PortfolioReport {
     let netlist = build_architecture(arch, width);
@@ -232,7 +231,6 @@ pub fn table_portfolio(arch: &str, width: usize, config: &HarnessConfig) -> Port
         .sat_baseline(Some(config.cec_conflicts))
         .method(Method::MtFo)
         .method(Method::MtLr)
-        .method(Method::MtLrIdx)
         .method(Method::MtLrPar)
         .run_all()
         .expect("generated netlists match the multiplier interface")
@@ -246,7 +244,7 @@ pub struct BenchRecord {
     pub arch: String,
     /// Operand width in bits.
     pub width: usize,
-    /// Strategy name (`MT-FO`, `MT-LR`, `CEC`).
+    /// Strategy name (`MT-FO`, `MT-LR`, `MT-LR-PAR`, `CEC`).
     pub strategy: String,
     /// Wall-clock time in milliseconds.
     pub elapsed_ms: u128,
@@ -278,7 +276,7 @@ pub struct BenchRecord {
     pub timeout_ms: u128,
     /// Worker threads the strategy ran with (1 for the single-threaded
     /// strategies; the resolved [`Budget::effective_threads`] for the
-    /// parallel engine).
+    /// indexed engine).
     pub threads: usize,
     /// `"ok"`, `"TO"` or `"FAIL"`.
     pub status: String,
@@ -287,7 +285,7 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// Builds a record from one portfolio strategy run.
     pub fn from_run(arch: &str, width: usize, run: &StrategyRun, config: &HarnessConfig) -> Self {
-        // Only the parallel engine fans out; every other strategy runs its
+        // Only the indexed engine fans out; every other strategy runs its
         // phases on one thread.
         let threads = if run.strategy == Method::MtLrPar.name() {
             config.budget().effective_threads()
@@ -383,31 +381,28 @@ pub fn table3_architectures() -> Vec<&'static str> {
 pub fn print_comparison_header(title: &str) {
     println!("{title}");
     println!(
-        "{:<12} {:>7} {:>14} {:>14} {:>14} {:>14} {:>14}",
-        "Benchmark", "I/O", "CEC(SAT)", "MT-FO", "MT-LR", "MT-LR-IDX", "MT-LR-PAR"
+        "{:<12} {:>7} {:>14} {:>14} {:>14} {:>14}",
+        "Benchmark", "I/O", "CEC(SAT)", "MT-FO", "MT-LR", "MT-LR-PAR"
     );
 }
 
 /// Prints one row of a comparison table.
-#[allow(clippy::too_many_arguments)]
 pub fn print_comparison_row(
     arch: &str,
     width: usize,
     cec: &Cell,
     fo: &Cell,
     lr: &Cell,
-    lr_idx: &Cell,
     lr_par: &Cell,
 ) {
     println!(
-        "{:<12} {:>3}/{:<3} {:>14} {:>14} {:>14} {:>14} {:>14}",
+        "{:<12} {:>3}/{:<3} {:>14} {:>14} {:>14} {:>14}",
         arch,
         width,
         2 * width,
         cec.display(),
         fo.display(),
         lr.display(),
-        lr_idx.display(),
         lr_par.display()
     );
 }
@@ -428,7 +423,6 @@ pub fn emit_comparison_row(
         &cell("CEC"),
         &cell("MT-FO"),
         &cell("MT-LR"),
-        &cell("MT-LR-IDX"),
         &cell("MT-LR-PAR"),
     );
     for run in &report.runs {
@@ -478,7 +472,7 @@ mod tests {
             archs: None,
         };
         let report = table_portfolio("SP-AR-RC", 4, &config);
-        assert_eq!(report.runs.len(), 5);
+        assert_eq!(report.runs.len(), 4);
         for run in &report.runs {
             assert!(
                 run.outcome.is_verified(),
@@ -522,7 +516,7 @@ mod tests {
         stats.rewrite.peak_terms = 9;
         stats.rewrite.elapsed = Duration::from_millis(6);
         let run = StrategyRun {
-            strategy: "MT-LR-IDX".to_string(),
+            strategy: "MT-LR".to_string(),
             outcome: Outcome::Verified,
             stats: Some(stats),
             elapsed: Duration::from_millis(42),
@@ -530,7 +524,7 @@ mod tests {
         let record = BenchRecord::from_run("SP-AR-RC", 8, &run, &config);
         assert_eq!(
             record.to_json(),
-            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"MT-LR-IDX\", \"elapsed_ms\": 42, \"peak_terms\": 9, \"substitution_steps\": 3, \"index_hits\": 11, \"rewrite_steps\": 5, \"rewrite_index_hits\": 13, \"rewrite_peak_terms\": 9, \"rewrite_ms\": 6, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"threads\": 1, \"status\": \"ok\"}"
+            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"MT-LR\", \"elapsed_ms\": 42, \"peak_terms\": 9, \"substitution_steps\": 3, \"index_hits\": 11, \"rewrite_steps\": 5, \"rewrite_index_hits\": 13, \"rewrite_peak_terms\": 9, \"rewrite_ms\": 6, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"threads\": 1, \"status\": \"ok\"}"
         );
         let dir = std::env::temp_dir().join("gbmv_bench_json_test");
         std::fs::create_dir_all(&dir).unwrap();

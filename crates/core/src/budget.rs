@@ -8,6 +8,7 @@
 //! rewrite, reduction and SAT phases poll, so a run that crosses its deadline
 //! — or is cancelled from another thread, e.g. by a [`crate::Portfolio`] race
 //! winner — stops at the next polling point instead of running to completion.
+//! The token is the only clock: no engine keeps a timeout of its own.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,10 +23,11 @@ pub struct Budget {
     pub max_terms: usize,
     /// Wall-clock budget for the whole run; `None` means unlimited.
     pub deadline: Option<Duration>,
-    /// Worker threads available to parallel strategies
-    /// ([`crate::ParallelReduction`]); `0` means auto: the `GBMV_THREADS`
-    /// environment variable if set, otherwise the machine's available
-    /// parallelism. Single-threaded strategies ignore this knob.
+    /// Worker threads the indexed engine ([`crate::ParallelReduction`])
+    /// shards large substitution steps over; `0` means auto: the
+    /// `GBMV_THREADS` environment variable if set, otherwise the machine's
+    /// available parallelism. Results do not depend on it, and the scan-based
+    /// strategies ignore it.
     pub threads: usize,
 }
 
@@ -61,7 +63,7 @@ impl Budget {
         self
     }
 
-    /// Replaces the worker-thread count for parallel strategies (`0` = auto;
+    /// Replaces the worker-thread count of the indexed engine (`0` = auto;
     /// see [`Budget::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

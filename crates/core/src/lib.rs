@@ -20,15 +20,13 @@
 //! 3. **Gröbner basis reduction** ([`reduction`], pluggable via
 //!    [`ReductionStrategy`], Algorithm 1): the specification polynomial is
 //!    divided by the rewritten model; the circuit is correct iff the
-//!    remainder is zero (modulo `2^(2n)` for multipliers). Three engines are
-//!    provided: the scan-based reference [`GbReduction`], the incremental
-//!    indexed engine ([`IndexedReduction`], preset [`Method::MtLrIdx`]) whose
+//!    remainder is zero (modulo `2^(2n)` for multipliers). Two engines are
+//!    provided: the scan-based reference [`GbReduction`], which is the
+//!    differential oracle, and the incremental indexed engine of
+//!    [`parallel`] ([`ParallelReduction`], preset [`Method::MtLrPar`]), whose
 //!    inverted var→term index makes each substitution step touch only the
-//!    affected terms, and the [`parallel`] output-cone engine
-//!    ([`ParallelReduction`], preset [`Method::MtLrPar`]), which decomposes
-//!    the same indexed reduction along merged output cones, runs it on a
-//!    scoped worker pool, and recombines the partial remainders
-//!    deterministically.
+//!    affected terms and whose large steps shard over term ranges across
+//!    [`Budget::threads`] workers.
 //!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom
@@ -68,14 +66,13 @@ mod session;
 mod spec;
 mod strategy;
 mod vanishing;
-mod verify;
 
 pub use budget::{Budget, DeadlineToken};
 pub use counterexample::{Counterexample, InputBit};
 pub use model::{AlgebraicModel, ExtractError, GateFunction};
 pub use parallel::ParallelReduction;
 pub use portfolio::{Portfolio, PortfolioReport, StrategyRun};
-pub use reduction::{GbReduction, IndexedReduction, ReductionOutcome, ReductionStats};
+pub use reduction::{GbReduction, ReductionOutcome, ReductionStats};
 pub use rewrite::{RewriteConfig, RewriteStats, RewriteVanishing, RewritingScheme};
 pub use session::{Outcome, Phase, Progress, Report, RunStats, Session, SessionError};
 pub use spec::{Spec, SpecError};
@@ -84,4 +81,3 @@ pub use strategy::{
     NoRewrite, PhaseContext, ReductionStrategy, RewriteStrategy, XorRewrite,
 };
 pub use vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
-pub use verify::{Verifier, VerifyConfig};

@@ -13,10 +13,9 @@
 //! multiplier) terminate with [`ReductionOutcome::LimitExceeded`] instead of
 //! exhausting memory.
 //!
-//! Two engines live here: the scan-based reference [`GbReduction`] (kept
-//! deliberately simple — it is the differential oracle the indexed engines
-//! are pinned against) and [`IndexedReduction`], the single-threaded preset
-//! of the incremental indexed engine shared with [`crate::parallel`].
+//! [`GbReduction`] is the scan-based reference engine, kept deliberately
+//! simple: it is the differential oracle the indexed engine of
+//! [`crate::parallel`] is pinned against.
 
 use std::time::{Duration, Instant};
 
@@ -36,8 +35,7 @@ pub enum ReductionOutcome {
         /// Number of terms when the limit was hit.
         terms: usize,
     },
-    /// The configured wall-clock budget (or the cancellation token's
-    /// deadline) was exhausted.
+    /// The cancellation token's deadline passed.
     TimedOut,
     /// The cancellation token was cancelled from outside (e.g. another
     /// portfolio strategy finished first).
@@ -48,6 +46,19 @@ impl ReductionOutcome {
     /// Returns `true` if the reduction ran to completion.
     pub fn is_completed(&self) -> bool {
         matches!(self, ReductionOutcome::Completed)
+    }
+
+    /// How a run stops once its token has expired: `Cancelled` after an
+    /// explicit cancel, `TimedOut` after the deadline; `None` while the token
+    /// is live.
+    pub(crate) fn from_token(token: &DeadlineToken) -> Option<Self> {
+        if token.is_cancelled() {
+            Some(ReductionOutcome::Cancelled)
+        } else if token.deadline_expired() {
+            Some(ReductionOutcome::TimedOut)
+        } else {
+            None
+        }
     }
 }
 
@@ -82,9 +93,7 @@ pub struct ReductionStats {
 pub struct GbReduction {
     /// Abort when the intermediate remainder exceeds this many terms.
     pub max_terms: usize,
-    /// Abort when the reduction exceeds this wall-clock budget.
-    pub timeout: Duration,
-    /// Cooperative cancellation: the reduction returns
+    /// Cooperative cancellation and the only clock: the reduction returns
     /// [`ReductionOutcome::Cancelled`] (explicit cancel) or
     /// [`ReductionOutcome::TimedOut`] (deadline) at the next substitution
     /// after the token expires. The default token never expires.
@@ -108,7 +117,6 @@ impl Default for GbReduction {
     fn default() -> Self {
         GbReduction {
             max_terms: 5_000_000,
-            timeout: Duration::from_secs(3600),
             cancel: DeadlineToken::new(),
             modulus_bits: None,
         }
@@ -116,11 +124,10 @@ impl Default for GbReduction {
 }
 
 impl GbReduction {
-    /// Creates a reduction engine with explicit limits.
-    pub fn new(max_terms: usize, timeout: Duration) -> Self {
+    /// Creates a reduction engine with an explicit term limit.
+    pub fn new(max_terms: usize) -> Self {
         GbReduction {
             max_terms,
-            timeout,
             ..GbReduction::default()
         }
     }
@@ -179,17 +186,6 @@ impl GbReduction {
         self.reduce_greedy_inner(model, spec, Some(tracker))
     }
 
-    /// Like [`GbReduction::reduce`] but with an explicit substitution order,
-    /// used by the tests that reproduce the paper's worked examples.
-    pub fn reduce_with_order(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-        order: &[Var],
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        self.reduce_inner(model, spec, order, None)
-    }
-
     /// Greedy-order reduction: repeatedly substitutes the present variable
     /// with the smallest estimated term growth. See [`GbReduction::reduce`]
     /// for why the order is free.
@@ -205,7 +201,7 @@ impl GbReduction {
         let mut scratch = Polynomial::zero();
         let mut occurrences: FastMap<Var, usize> = FastMap::default();
         stats.peak_terms = r.num_terms();
-        loop {
+        let outcome = loop {
             // Count, per substitutable variable, the number of terms it
             // appears in. One pass over the remainder per step — the same
             // asymptotic cost as the substitution itself.
@@ -234,10 +230,10 @@ impl GbReduction {
                     (occ * tail_terms.saturating_sub(1), u.0)
                 })
                 .min();
-            let v = match candidate {
-                Some((_, idx)) => Var(idx),
-                None => break,
+            let Some((_, idx)) = candidate else {
+                break ReductionOutcome::Completed;
             };
+            let v = Var(idx);
             let tail = model.tail(v).expect("candidate has a tail");
             r.substitute_into(v, tail, &mut scratch);
             std::mem::swap(&mut r, &mut scratch);
@@ -250,169 +246,15 @@ impl GbReduction {
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
             if r.num_terms() > self.max_terms {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (
-                    r,
-                    ReductionOutcome::LimitExceeded {
-                        terms: stats.peak_terms,
-                    },
-                    stats,
-                );
+                break ReductionOutcome::LimitExceeded {
+                    terms: stats.peak_terms,
+                };
             }
-            if self.cancel.is_cancelled() {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (r, ReductionOutcome::Cancelled, stats);
+            if let Some(stop) = ReductionOutcome::from_token(&self.cancel) {
+                break stop;
             }
-            if start.elapsed() > self.timeout || self.cancel.deadline_expired() {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (r, ReductionOutcome::TimedOut, stats);
-            }
-        }
-        stats.final_terms = r.num_terms();
-        stats.elapsed = start.elapsed();
-        (r, ReductionOutcome::Completed, stats)
-    }
-
-    fn reduce_inner(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-        order: &[Var],
-        mut tracker: Option<&mut VanishingTracker>,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let start = Instant::now();
-        let mut stats = ReductionStats::default();
-        let mut r = spec.clone();
-        // Scratch polynomial reused across every substitution of the run.
-        let mut scratch = Polynomial::zero();
-        stats.peak_terms = r.num_terms();
-        for &v in order {
-            if model.is_input(v) {
-                continue;
-            }
-            if !r.contains_var(v) {
-                continue;
-            }
-            let tail = match model.tail(v) {
-                Some(t) => t,
-                None => continue,
-            };
-            r.substitute_into(v, tail, &mut scratch);
-            std::mem::swap(&mut r, &mut scratch);
-            stats.substitutions += 1;
-            if let Some(t) = tracker.as_deref_mut() {
-                stats.cancelled_vanishing += t.apply(&mut r) as u64;
-            }
-            if let Some(k) = self.modulus_bits {
-                r.retain_non_multiples_of_pow2(k);
-            }
-            stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if r.num_terms() > self.max_terms {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (
-                    r,
-                    ReductionOutcome::LimitExceeded {
-                        terms: stats.peak_terms,
-                    },
-                    stats,
-                );
-            }
-            if self.cancel.is_cancelled() {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (r, ReductionOutcome::Cancelled, stats);
-            }
-            if start.elapsed() > self.timeout || self.cancel.deadline_expired() {
-                stats.final_terms = r.num_terms();
-                stats.elapsed = start.elapsed();
-                return (r, ReductionOutcome::TimedOut, stats);
-            }
-        }
-        stats.final_terms = r.num_terms();
-        stats.elapsed = start.elapsed();
-        (r, ReductionOutcome::Completed, stats)
-    }
-}
-
-/// A [`crate::ReductionStrategy`] running the whole specification through
-/// the fused incremental engine of [`crate::parallel`] on a single worker:
-/// the working remainder lives in a [`gbmv_poly::IndexedPolynomial`] (inverted
-/// var→term index, canonical `mod 2^k` coefficients, retirement of
-/// fully-substituted terms) and vanishing is checked through the
-/// unit-propagation closure index ([`crate::ClosureVanishing`]).
-///
-/// The preset [`crate::Method::MtLrIdx`] pairs this engine with
-/// logic-reduction rewriting. The greedy candidate rule is the same as
-/// [`GbReduction`]'s, so for completed runs the remainder (and hence verdict
-/// and counterexample) is identical — the engines differ only in per-step
-/// cost. With [`IndexedReduction::column_order`] ties additionally break
-/// toward the lowest output column; the normal form is order-independent
-/// (the model is a Gröbner basis), so this changes intermediate sizes, never
-/// results.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexedReduction {
-    /// Apply the structural vanishing rules (closure index) during the
-    /// reduction (required for the logic-reduction methods).
-    pub vanishing: bool,
-    /// Break greedy ties toward the variable reaching the lowest output
-    /// column so low columns retire early.
-    pub column_order: bool,
-}
-
-impl Default for IndexedReduction {
-    fn default() -> Self {
-        IndexedReduction {
-            vanishing: true,
-            column_order: true,
-        }
-    }
-}
-
-impl crate::strategy::ReductionStrategy for IndexedReduction {
-    fn name(&self) -> &str {
-        if self.vanishing {
-            "indexed+vanishing"
-        } else {
-            "indexed"
-        }
-    }
-
-    fn reduce(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-        modulus_bits: Option<u32>,
-        ctx: &crate::strategy::PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let start = Instant::now();
-        let vanish = self
-            .vanishing
-            .then(|| crate::vanishing::ClosureVanishing::new(model, ctx.rules))
-            .filter(crate::vanishing::ClosureVanishing::enabled);
-        let engine = crate::parallel::FusedReduction {
-            model,
-            vanish: vanish.as_ref(),
-            modulus_bits,
-            max_terms: ctx.budget.max_terms,
-            token: &ctx.token,
-            shard_threads: 1,
-            column_order: self.column_order,
         };
-        let (r, outcome, mut stats) = engine.reduce(spec);
-        // A mid-step token stop reports `Cancelled` even when the deadline
-        // (not an explicit cancel) fired; normalize like the session driver.
-        let outcome = if matches!(outcome, ReductionOutcome::Cancelled)
-            && !ctx.token.is_cancelled()
-            && ctx.token.deadline_expired()
-        {
-            ReductionOutcome::TimedOut
-        } else {
-            outcome
-        };
+        stats.final_terms = r.num_terms();
         stats.elapsed = start.elapsed();
         (r, outcome, stats)
     }
@@ -425,7 +267,9 @@ mod tests {
     use gbmv_poly::spec::{adder_spec, full_adder_spec};
     use gbmv_poly::{Int, Monomial};
 
-    fn full_adder_netlist() -> Netlist {
+    /// The full adder of Example 1; with `bug`, the `t` gate is an OR
+    /// instead of an AND.
+    fn full_adder_netlist(bug: bool) -> Netlist {
         let mut nl = Netlist::new("fa");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -433,7 +277,11 @@ mod tests {
         let x = nl.xor2(a, b, "x");
         let s = nl.xor2(x, cin, "s");
         let d = nl.and2(a, b, "d");
-        let t = nl.and2(x, cin, "t");
+        let t = if bug {
+            nl.or2(x, cin, "t")
+        } else {
+            nl.and2(x, cin, "t")
+        };
         let c = nl.or2(d, t, "c");
         nl.add_output("s", s);
         nl.add_output("c", c);
@@ -444,7 +292,7 @@ mod tests {
     /// `-2c - s + cin + b + a` by the circuit model gives remainder 0.
     #[test]
     fn full_adder_reduces_to_zero() {
-        let nl = full_adder_netlist();
+        let nl = full_adder_netlist(false);
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
@@ -461,17 +309,7 @@ mod tests {
 
     #[test]
     fn faulty_full_adder_has_nonzero_remainder() {
-        let mut nl = Netlist::new("fa_bad");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let cin = nl.add_input("cin");
-        let x = nl.xor2(a, b, "x");
-        let s = nl.xor2(x, cin, "s");
-        let d = nl.and2(a, b, "d");
-        let t = nl.or2(x, cin, "t"); // BUG: should be AND
-        let c = nl.or2(d, t, "c");
-        nl.add_output("s", s);
-        nl.add_output("c", c);
+        let nl = full_adder_netlist(true);
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
@@ -536,23 +374,35 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = gbmv_poly::spec::multiplier_spec(&a, &b, &s);
-        let engine = GbReduction::new(50, Duration::from_secs(60));
+        let engine = GbReduction::new(50);
         let (_, outcome, stats) = engine.reduce(&model, &spec);
         assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
         assert!(stats.peak_terms > 50);
     }
 
+    /// The remainder does not depend on the substitution order: the indexed
+    /// engine's column-weighted order reproduces the greedy order's exact
+    /// remainder on the correct and the faulty full adder (vanishing off, so
+    /// only the order differs).
     #[test]
     fn explicit_order_matches_default_for_full_adder() {
-        let nl = full_adder_netlist();
-        let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let var = |name: &str| Var(nl.find_net(name).unwrap().0);
-        let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-        let order = model.substitution_order();
-        let (r1, o1, _) = GbReduction::default().reduce(&model, &spec);
-        let (r2, o2, _) = GbReduction::default().reduce_with_order(&model, &spec, &order);
-        assert_eq!(r1, r2);
-        assert!(o1.is_completed() && o2.is_completed());
+        use crate::strategy::{PhaseContext, ReductionStrategy};
+        use crate::vanishing::VanishingRules;
+        let ctx = PhaseContext {
+            rules: VanishingRules::none(),
+            ..PhaseContext::default()
+        };
+        for bug in [false, true] {
+            let nl = full_adder_netlist(bug);
+            let model = AlgebraicModel::from_netlist(&nl).unwrap();
+            let var = |name: &str| Var(nl.find_net(name).unwrap().0);
+            let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
+            let (r1, o1, s1) = GbReduction::default().reduce(&model, &spec);
+            let (r2, o2, s2) = crate::ParallelReduction.reduce(&model, &spec, None, &ctx);
+            assert!(o1.is_completed() && o2.is_completed());
+            assert_eq!(r1, r2, "bug = {bug}");
+            assert_eq!(s1.substitutions, s2.substitutions);
+        }
     }
 
     #[test]

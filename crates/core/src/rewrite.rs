@@ -48,11 +48,9 @@ pub struct RewriteConfig {
     pub rules: VanishingRules,
     /// Abort when any tail polynomial exceeds this many terms.
     pub max_terms: usize,
-    /// Abort when the rewriting pass exceeds this wall-clock budget.
-    pub timeout: Duration,
-    /// Cooperative cancellation: the pass aborts (with
-    /// [`RewriteStats::limit_exceeded`]) as soon as the token expires. The
-    /// default token never expires.
+    /// Cooperative cancellation and the only clock: the pass aborts (with
+    /// [`RewriteStats::limit_exceeded`]) as soon as the token is cancelled or
+    /// its deadline passes. The default token never expires.
     pub cancel: DeadlineToken,
 }
 
@@ -61,7 +59,6 @@ impl Default for RewriteConfig {
         RewriteConfig {
             rules: VanishingRules::default(),
             max_terms: 5_000_000,
-            timeout: Duration::from_secs(3600),
             cancel: DeadlineToken::new(),
         }
     }
@@ -148,7 +145,7 @@ pub fn gb_rewrite(
             None => continue,
         };
         loop {
-            if start.elapsed() > config.timeout || config.cancel.expired() {
+            if config.cancel.expired() {
                 stats.limit_exceeded = true;
                 break;
             }
@@ -253,9 +250,9 @@ pub fn logic_reduction_rewriting(
     stats
 }
 
-/// How often the indexed rewriter polls the cancellation token and the
-/// wall-clock budget inside a single substitution step, in expanded
-/// products — the same cadence as the reduction engines.
+/// How often the indexed rewriter polls the cancellation token inside a
+/// single substitution step, in expanded products — the same cadence as the
+/// indexed reduction engine.
 const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
 
 /// The vanishing predicate [`gb_rewrite_indexed`] applies during each
@@ -373,8 +370,8 @@ impl<'a> RewriteVanishing<'a> {
 ///   them the common keep-set — but every cancelled monomial is a member
 ///   of the circuit ideal, so a completed reduction ends in exactly the
 ///   same multilinear remainder, verdict and counterexample (the argument
-///   of `reduction.rs`'s closure cancellation). `tests/rewrite_equivalence.rs`
-///   and `tests/parallel_equivalence.rs` pin the verdicts. This is the
+///   of `reduction.rs`'s closure cancellation). `tests/parallel_equivalence.rs`
+///   pins the verdicts. This is the
 ///   presets' default mode and what opens width 16+: the closure kills the
 ///   high-degree carry products the tracker's local patterns miss.
 pub fn gb_rewrite_indexed(
@@ -399,7 +396,7 @@ pub fn gb_rewrite_indexed(
     let mut since_poll = 0usize;
     'pass: for (pos, &v) in order.iter().enumerate() {
         let retiring_cols = (suffix[pos] & !suffix[pos + 1]).count_ones() as usize;
-        if start.elapsed() > config.timeout || config.cancel.expired() {
+        if config.cancel.expired() {
             stats.limit_exceeded = true;
             break 'pass;
         }
@@ -432,7 +429,7 @@ pub fn gb_rewrite_indexed(
         // the scan engine's first post-substitution application.
         let mut swept = vanishing.is_none();
         loop {
-            if start.elapsed() > config.timeout || config.cancel.expired() {
+            if config.cancel.expired() {
                 stats.limit_exceeded = true;
                 break;
             }
@@ -495,7 +492,7 @@ pub fn gb_rewrite_indexed(
                     since_poll += 1;
                     if since_poll >= CANCEL_POLL_INTERVAL {
                         since_poll = 0;
-                        if start.elapsed() > config.timeout || config.cancel.expired() {
+                        if config.cancel.expired() {
                             aborted = true;
                             break 'terms;
                         }
@@ -581,7 +578,7 @@ pub fn indexed_common_rewriting(
 
 /// Logic reduction rewriting (Algorithm 3) on the indexed store: indexed
 /// XOR rewriting followed by indexed common rewriting — the Step 2 of the
-/// `MT-LR-IDX` and `MT-LR-PAR` presets. With [`VanishingRules::closure`]
+/// `MT-LR-PAR` preset. With [`VanishingRules::closure`]
 /// disabled it produces the canonical (mod `2^k`) form of
 /// [`logic_reduction_rewriting`]'s result, term for term; with the default
 /// closure mode the model is smaller but reduces to the same remainder.

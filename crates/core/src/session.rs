@@ -61,9 +61,8 @@ impl std::fmt::Display for Phase {
 }
 
 /// A structured progress event, delivered to the observer installed with
-/// [`Session::observer`]. This replaces the old `GBMV_TIMING` environment
-/// variable: phase timings are pushed to the observer instead of printed to
-/// stderr.
+/// [`Session::observer`]: phase timings are pushed to the observer instead of
+/// printed to stderr.
 #[derive(Debug, Clone)]
 pub enum Progress {
     /// A phase is about to start.
@@ -246,8 +245,8 @@ impl From<SpecError> for SessionError {
 type ObserverBox = Box<dyn FnMut(&Progress)>;
 
 /// Extracts the algebraic model plus the primary-input names of a netlist —
-/// the shared Step 1 of [`Session::extract`], [`crate::Portfolio::extract`]
-/// and [`crate::Verifier::new`].
+/// the shared Step 1 of [`Session::extract`] and
+/// [`crate::Portfolio::extract`].
 pub(crate) fn extract_model(
     netlist: &Netlist,
 ) -> Result<(AlgebraicModel, Vec<String>), ExtractError> {
@@ -270,9 +269,12 @@ pub(crate) struct CexContext<'a> {
 
 /// The shared verification pipeline: Step 2 (rewriting) on a clone of the
 /// model, Steps 3/4 (reduction and the zero test), then the counterexample
-/// search. Used by [`Session::run`], the [`crate::Portfolio`] entries and the
-/// legacy [`crate::Verifier`].
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by Session, Portfolio, Verifier
+/// search. Used by [`Session::run`] and the [`crate::Portfolio`] entries.
+///
+/// This is the one place where a reduction stop becomes an [`Outcome`]: a
+/// term-limit stop is a resource limit, and a token stop is `Cancelled` or a
+/// resource limit depending on whether the token was cancelled.
+#[allow(clippy::too_many_arguments)] // internal plumbing shared by Session and Portfolio
 pub(crate) fn run_pipeline(
     strategy_name: String,
     base: &AlgebraicModel,
@@ -368,10 +370,9 @@ pub(crate) fn run_pipeline(
                 stats,
             };
         }
-        // Time-based stops are disambiguated by the token: an explicit
-        // cancel is `Cancelled`, a deadline expiry is a resource limit. The
-        // same normalization applies to custom strategies that map deadline
-        // expiry onto `Cancelled`.
+        // Token stops are disambiguated by the token itself: an explicit
+        // cancel is `Cancelled`, a deadline expiry is a resource limit —
+        // whichever of the two a strategy reported.
         ReductionOutcome::Cancelled | ReductionOutcome::TimedOut => {
             stats.total_time = start.elapsed();
             let outcome = if ctx.token.is_cancelled() {
@@ -391,11 +392,12 @@ pub(crate) fn run_pipeline(
 
     // Canonicalize the remainder modulo 2^k (not just drop zero terms): the
     // fully reduced remainder is the unique multilinear normal form of the
-    // spec over the primary inputs, but engines that drop 2^k-multiples at
-    // different moments (whole-spec vs. per-cone reduction) can end with
-    // coefficients differing by multiples of 2^k. Reducing every coefficient
-    // into [0, 2^k) makes the reported remainder — and therefore the
-    // counterexample search — bit-identical across reduction strategies.
+    // spec over the primary inputs, but engines that drop 2^k-multiples
+    // differently (the scan engine keeps exact coefficients, the indexed one
+    // stores canonical residues) can end with coefficients differing by
+    // multiples of 2^k. Reducing every coefficient into [0, 2^k) makes the
+    // reported remainder — and therefore the counterexample search —
+    // bit-identical across reduction strategies.
     let remainder = match modulus_bits {
         Some(k) => remainder.mod_coeffs_pow2(k),
         None => remainder,
@@ -790,7 +792,7 @@ mod tests {
         let events: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
         let sink = events.clone();
         let report = session("SP-CT-KS", 4)
-            .strategy(Method::MtLrIdx)
+            .strategy(Method::MtLrPar)
             .observer(move |p| sink.borrow_mut().push(event_line(p)))
             .run()
             .unwrap();

@@ -4,12 +4,11 @@
 //! (Step 2) and Gröbner basis reduction (Steps 3/4). The rewriting and
 //! reduction phases are open for extension through the [`RewriteStrategy`]
 //! and [`ReductionStrategy`] traits; the schemes evaluated by the paper
-//! (MT, MT-FO, MT-XOR, MT-LR) are provided implementations, and [`Method`]
-//! is a thin preset constructor over them. New engines — column-wise spec
-//! reduction, alternative substitution orders, parallel output cones — plug
-//! in as further implementations without touching the session driver.
-
-use std::time::Duration;
+//! (MT, MT-FO, MT-XOR, MT-LR) are provided implementations, plus the indexed
+//! engine of `MT-LR-PAR`, and [`Method`] is a thin preset constructor over
+//! them. New engines — column-wise spec reduction, alternative substitution
+//! orders — plug in as further implementations without touching the session
+//! driver.
 
 use gbmv_poly::Polynomial;
 
@@ -55,23 +54,21 @@ impl Default for PhaseContext {
 }
 
 impl PhaseContext {
-    /// The rewrite configuration corresponding to this context (deadline
-    /// enforcement delegated to the token).
+    /// The rewrite configuration corresponding to this context (the token
+    /// is its clock).
     pub fn rewrite_config(&self) -> RewriteConfig {
         RewriteConfig {
             rules: self.rules,
             max_terms: self.budget.max_terms,
-            timeout: Duration::MAX,
             cancel: self.token.clone(),
         }
     }
 
-    /// A reduction engine honouring this context (deadline enforcement
-    /// delegated to the token); `modulus_bits` enables intermediate
-    /// `mod 2^k` coefficient dropping.
+    /// A scan-based reduction engine honouring this context (the token is
+    /// its clock); `modulus_bits` enables intermediate `mod 2^k` coefficient
+    /// dropping.
     pub fn reduction_engine(&self, modulus_bits: Option<u32>) -> GbReduction {
-        let mut engine =
-            GbReduction::new(self.budget.max_terms, Duration::MAX).with_token(self.token.clone());
+        let mut engine = GbReduction::new(self.budget.max_terms).with_token(self.token.clone());
         if let Some(k) = modulus_bits {
             engine = engine.with_modulus(k);
         }
@@ -177,7 +174,7 @@ impl RewriteStrategy for LogicReductionRewrite {
 /// to [`LogicReductionRewrite`] modulo coefficient canonicalization — when
 /// `VanishingRules::closure` is off), and canonical mod-`2^k` coefficients
 /// from [`PhaseContext::modulus_bits`] — the Step 2 of
-/// [`Method::MtLrIdx`] and [`Method::MtLrPar`].
+/// [`Method::MtLrPar`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedLogicReductionRewrite;
 
@@ -246,57 +243,49 @@ pub enum Method {
     /// MT-LR with both phases on the incremental indexed term store: Step 2
     /// through [`IndexedLogicReductionRewrite`] (in-place extraction,
     /// closure vanishing during substitution, canonical mod-`2^k`
-    /// coefficients) and Step 3/4 through the single-threaded
-    /// [`crate::IndexedReduction`] engine. Same post-rewrite models (modulo
-    /// coefficient canonicalization), remainders and verdicts as MT-LR,
-    /// different per-step cost.
-    MtLrIdx,
-    /// MT-LR with the indexed rewriter ([`IndexedLogicReductionRewrite`],
-    /// shared with `MT-LR-IDX`) feeding the parallel output-cone reduction
-    /// engine ([`crate::ParallelReduction`]): the Step-3 reduction is
-    /// decomposed per (merged) output cone and run on a scoped worker pool
-    /// sized by [`crate::Budget::threads`].
+    /// coefficients) and Step 3/4 through [`crate::ParallelReduction`],
+    /// whose large substitution steps shard over term ranges across
+    /// [`crate::Budget::threads`] workers. Same remainders, verdicts and
+    /// counterexamples as MT-LR at any thread count, different per-step
+    /// cost.
     MtLrPar,
 }
 
 impl Method {
     /// All methods: the paper's four in table order, then this repo's
-    /// indexed and parallel MT-LR variants.
-    pub fn all() -> [Method; 6] {
+    /// indexed MT-LR engine.
+    pub fn all() -> [Method; 5] {
         [
             Method::MtNaive,
             Method::MtFo,
             Method::MtXorOnly,
             Method::MtLr,
-            Method::MtLrIdx,
             Method::MtLrPar,
         ]
     }
 
-    /// Short display name matching the paper (`MT-LR-IDX`/`MT-LR-PAR` for
-    /// the indexed and parallel engines, which the paper does not have).
+    /// Short display name matching the paper (`MT-LR-PAR` for the indexed
+    /// engine, which the paper does not have).
     pub fn name(self) -> &'static str {
         match self {
             Method::MtNaive => "MT",
             Method::MtFo => "MT-FO",
             Method::MtXorOnly => "MT-XOR",
             Method::MtLr => "MT-LR",
-            Method::MtLrIdx => "MT-LR-IDX",
             Method::MtLrPar => "MT-LR-PAR",
         }
     }
 
     /// The Step-2 strategy this preset stands for. `MT-LR` keeps the
     /// scan-based rewriter (it doubles as the differential oracle of the
-    /// rewrite-equivalence harness); the indexed and parallel presets run
-    /// Step 2 on the indexed store.
+    /// equivalence harness); `MT-LR-PAR` runs Step 2 on the indexed store.
     pub fn rewrite_strategy(self) -> Box<dyn RewriteStrategy> {
         match self {
             Method::MtNaive => Box::new(NoRewrite),
             Method::MtFo => Box::new(FanoutRewrite),
             Method::MtXorOnly => Box::new(XorRewrite),
             Method::MtLr => Box::new(LogicReductionRewrite),
-            Method::MtLrIdx | Method::MtLrPar => Box::new(IndexedLogicReductionRewrite),
+            Method::MtLrPar => Box::new(IndexedLogicReductionRewrite),
         }
     }
 
@@ -305,8 +294,7 @@ impl Method {
         match self {
             Method::MtNaive | Method::MtFo => Box::new(GreedyReduction { vanishing: false }),
             Method::MtXorOnly | Method::MtLr => Box::new(GreedyReduction { vanishing: true }),
-            Method::MtLrIdx => Box::new(crate::reduction::IndexedReduction::default()),
-            Method::MtLrPar => Box::new(crate::parallel::ParallelReduction::default()),
+            Method::MtLrPar => Box::new(crate::parallel::ParallelReduction),
         }
     }
 }
@@ -325,9 +313,8 @@ mod tests {
     fn method_names_match_paper() {
         assert_eq!(Method::MtLr.name(), "MT-LR");
         assert_eq!(Method::MtFo.name(), "MT-FO");
-        assert_eq!(Method::MtLrIdx.name(), "MT-LR-IDX");
         assert_eq!(Method::MtLrPar.name(), "MT-LR-PAR");
-        assert_eq!(Method::all().len(), 6);
+        assert_eq!(Method::all().len(), 5);
         assert_eq!(format!("{}", Method::MtNaive), "MT");
     }
 
@@ -340,20 +327,9 @@ mod tests {
         assert_eq!(Method::MtNaive.rewrite_strategy().name(), "none");
         assert_eq!(Method::MtXorOnly.rewrite_strategy().name(), "xor");
         assert_eq!(
-            Method::MtLrIdx.rewrite_strategy().name(),
-            "logic-reduction-indexed"
-        );
-        assert_eq!(
-            Method::MtLrIdx.reduction_strategy().name(),
-            "indexed+vanishing"
-        );
-        assert_eq!(
             Method::MtLrPar.rewrite_strategy().name(),
             "logic-reduction-indexed"
         );
-        assert_eq!(
-            Method::MtLrPar.reduction_strategy().name(),
-            "parallel-cones+vanishing"
-        );
+        assert_eq!(Method::MtLrPar.reduction_strategy().name(), "indexed");
     }
 }

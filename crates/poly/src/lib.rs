@@ -29,10 +29,6 @@
 //!   and a retirement accumulator for terms no substitution can reach.
 //! * [`FastMap`] / [`FastSet`] — `ahash`-keyed hash containers used for every
 //!   hot map in the engine (term tables, keep-sets, model indices).
-//! * [`debug_timer!`] — opt-in wall-clock instrumentation for ad-hoc hot-spot
-//!   hunting (enabled by setting `GBMV_TIMING`). The verification pipeline
-//!   itself reports phase timings through the structured
-//!   `gbmv_core::Session::observer` hook instead.
 //! * [`spec`] — specification polynomials for adders and (modular) multipliers.
 //!
 //! # Representation invariants
@@ -85,29 +81,3 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, ahash::RandomState>;
 /// A `HashSet` keyed by the fast `ahash` hasher; use for keep-sets and other
 /// hot-path sets.
 pub type FastSet<T> = std::collections::HashSet<T, ahash::RandomState>;
-
-/// Times an expression and reports it on stderr when the `GBMV_TIMING`
-/// environment variable is set; otherwise evaluates the expression with no
-/// timing overhead beyond one environment lookup.
-///
-/// ```
-/// let total = gbmv_poly::debug_timer!("sum", (0..100).sum::<u64>());
-/// assert_eq!(total, 4950);
-/// ```
-#[macro_export]
-macro_rules! debug_timer {
-    ($name:expr, $body:expr) => {{
-        if ::std::env::var_os("GBMV_TIMING").is_some() {
-            let __timer_start = ::std::time::Instant::now();
-            let __timer_result = $body;
-            eprintln!(
-                "[gbmv-timing] {}: {} us",
-                $name,
-                __timer_start.elapsed().as_micros()
-            );
-            __timer_result
-        } else {
-            $body
-        }
-    }};
-}

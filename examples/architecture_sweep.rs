@@ -1,6 +1,6 @@
 //! Sweeps every multiplier architecture family (2 partial-product generators
 //! x 5 accumulators x 5 final adders = 50 architectures) at a small width and
-//! verifies each with MT-LR-IDX (indexed rewriting + indexed reduction)
+//! verifies each with MT-LR-PAR (indexed rewriting + indexed reduction)
 //! through the `Session` API, printing a compact matrix — the full
 //! architecture space the paper's benchmark set is drawn from.
 //!
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline: None,
         threads: 1,
     };
-    println!("MT-LR-IDX verification of all architectures at width {width} (time in ms):");
+    println!("MT-LR-PAR verification of all architectures at width {width} (time in ms):");
     println!(
         "{:<6} {:<6} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "PP", "Acc", "RC", "CL", "BK", "KS", "HC"
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let start = Instant::now();
                 let report = Session::extract(&netlist)?
                     .spec(Spec::multiplier(width))
-                    .strategy(Method::MtLrIdx)
+                    .strategy(Method::MtLrPar)
                     .budget(budget)
                     .counterexamples(false)
                     .run()?;

@@ -60,7 +60,7 @@ fn mt_fo_blows_up_where_mt_lr_succeeds() {
     // above 10k terms while MT-LR stays near 100, so a 2k budget separates
     // them with ample margin on both sides. No deadline: the verdict depends
     // only on the term budget, so the contrast is deterministic on any
-    // machine and at one thread.
+    // machine and at any thread count.
     let tight = Budget {
         max_terms: 2_000,
         deadline: None,
@@ -94,16 +94,16 @@ fn mt_fo_blows_up_where_mt_lr_succeeds() {
     // tracker (byte-identity in tracker mode is pinned by
     // `tests/rewrite_equivalence.rs`), so the rewrite peak cannot regress
     // past the oracle's.
-    session = session.strategy(Method::MtLrIdx);
-    let idx_complex = session.run().expect("interface");
+    session = session.strategy(Method::MtLrPar);
+    let par_complex = session.run().expect("interface");
     assert!(
-        idx_complex.outcome.is_verified(),
-        "MT-LR-IDX must verify BP-WT-CL under the same budget, got {:?}",
-        idx_complex.outcome
+        par_complex.outcome.is_verified(),
+        "MT-LR-PAR must verify BP-WT-CL under the same budget, got {:?}",
+        par_complex.outcome
     );
-    assert!(idx_complex.stats.rewrite.index_hits > 0);
-    assert!(idx_complex.stats.rewrite.columns_retired > 0);
-    assert!(idx_complex.stats.rewrite.peak_terms <= tight.max_terms);
+    assert!(par_complex.stats.rewrite.index_hits > 0);
+    assert!(par_complex.stats.rewrite.columns_retired > 0);
+    assert!(par_complex.stats.rewrite.peak_terms <= tight.max_terms);
 }
 
 /// Single-gate faults injected into three different architectures are

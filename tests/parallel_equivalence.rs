@@ -1,38 +1,37 @@
-//! Differential property tests of the indexed reduction engines: for every
-//! genmul architecture at widths 4–6 and for fault-injected variants, the
-//! `Outcome` (verdict and counterexample operand words) of the incremental
-//! indexed engine (`MT-LR-IDX`) and of the parallel output-cone engine
-//! (`MT-LR-PAR`, for threads ∈ {1, 2, 8}) must be identical to the
-//! scan-based reference MT-LR.
+//! The verdict harness of the indexed engine: every result of `MT-LR-PAR` is
+//! pinned against the scan-based MT-LR oracle, and each oracle result is
+//! computed once per circuit.
 //!
-//! The comparison is exact: `run_pipeline` canonicalizes remainders modulo
+//! The circuits are every genmul architecture at width 4, the paper's ten
+//! architectures at widths 5–6, and fault-injected mutants — the circuits on
+//! which `tests/rewrite_equivalence.rs` pins the Step-2 rewrite byte for byte
+//! against the scan rewriter. Per circuit the scan-based MT-LR pipeline runs
+//! once, and `MT-LR-PAR`, in its default closure mode, runs at 1, 2 and 8
+//! threads and must reproduce the oracle's verdict, canonical remainder term
+//! count and grounded counterexample bit for bit.
+//!
+//! The comparison is exact: the pipeline canonicalizes remainders modulo
 //! `2^(2n)`, and the fully reduced remainder is the unique multilinear normal
-//! form of the specification over the primary inputs, so all engines ground
-//! the *same* counterexample bit for bit — regardless of substitution order
-//! or term-storage layout.
+//! form of the specification over the primary inputs. So the engines ground
+//! the *same* counterexample regardless of substitution order — the oracle's
+//! greedy order against the indexed engine's column-weighted one —
+//! term-storage layout or thread count. The closure mode cancels strictly
+//! more monomials than the tracker and so cannot be byte-identical after
+//! rewriting, but every extra cancellation is a member of the circuit ideal,
+//! so completed verdicts and counterexamples are exactly preserved.
+
+mod common;
 
 use std::time::Duration;
 
-use gbmv::genmul::{Accumulator, FinalAdder, MultiplierSpec, PartialProduct};
-use gbmv::netlist::fault::distinguishable_mutant;
+use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
+use gbmv::core::Phase;
+use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
+use gbmv::poly::{Int, Monomial, Polynomial};
 use gbmv::{Budget, DeadlineToken, Method, Outcome, Report, Session, Spec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-
-fn all_architectures() -> Vec<String> {
-    let mut archs = Vec::new();
-    for pp in PartialProduct::all() {
-        for acc in Accumulator::all() {
-            for fsa in FinalAdder::all() {
-                archs.push(format!("{}-{}-{}", pp.abbrev(), acc.abbrev(), fsa.abbrev()));
-            }
-        }
-    }
-    archs
-}
 
 fn run(netlist: &Netlist, width: usize, method: Method, budget: Budget) -> Report {
     Session::extract(netlist)
@@ -44,9 +43,9 @@ fn run(netlist: &Netlist, width: usize, method: Method, budget: Budget) -> Repor
         .expect("interface")
 }
 
-/// Asserts that a candidate engine's outcome reproduces the reference
-/// exactly: same verdict, same canonical remainder term count, and a
-/// bit-identical grounded counterexample.
+/// Asserts that a candidate run reproduces the reference exactly: same
+/// verdict, same canonical remainder term count, and a bit-identical grounded
+/// counterexample.
 fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Report, label: &str) {
     match (&reference.outcome, &candidate.outcome) {
         (Outcome::Verified, Outcome::Verified) => {}
@@ -73,11 +72,11 @@ fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Rep
                 netlist.name()
             );
         }
-        // A deterministic term-limit stop: the indexed engines may prune
-        // more aggressively (vanishing checks fire before terms are ever
-        // materialized) or substitute in a cheaper order, so they are
-        // allowed to finish where MT-LR hit the budget — but they must
-        // never contradict a definitive verdict.
+        // A deterministic term-limit stop: the indexed engine may prune more
+        // aggressively (vanishing checks fire before terms are ever
+        // materialized) or substitute in a cheaper order, so it is allowed
+        // to finish where MT-LR hit the budget — but it must never
+        // contradict a definitive verdict.
         (Outcome::ResourceLimit { .. }, got) => {
             assert!(
                 matches!(got, Outcome::ResourceLimit { .. } | Outcome::Verified),
@@ -92,12 +91,11 @@ fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Rep
     }
 }
 
-/// Asserts that the incremental indexed engine (once — it is single-threaded)
-/// and the parallel engine (for every thread count in the sweep) reproduce
-/// the reference outcome exactly.
-fn assert_parallel_matches(netlist: &Netlist, width: usize, reference: &Report, budget: Budget) {
-    let idx = run(netlist, width, Method::MtLrIdx, budget);
-    assert_outcome_matches(netlist, reference, &idx, "MT-LR-IDX");
+/// The oracle pass over one circuit: the MT-LR reference (computed once),
+/// and `MT-LR-PAR` at every thread count of the sweep against it. Returns
+/// the reference.
+fn check_against_oracle(netlist: &Netlist, width: usize, budget: Budget) -> Report {
+    let reference = run(netlist, width, Method::MtLr, budget);
     for threads in THREAD_SWEEP {
         let par = run(
             netlist,
@@ -107,15 +105,15 @@ fn assert_parallel_matches(netlist: &Netlist, width: usize, reference: &Report, 
         );
         assert_outcome_matches(
             netlist,
-            reference,
+            &reference,
             &par,
             &format!("MT-LR-PAR, {threads} threads"),
         );
     }
+    reference
 }
 
-/// Every genmul architecture at width 4: identical verdicts across the
-/// thread sweep.
+/// Every genmul architecture at width 4.
 #[test]
 fn every_architecture_width_4_matches_mt_lr() {
     let budget = Budget::default();
@@ -123,13 +121,12 @@ fn every_architecture_width_4_matches_mt_lr() {
         let netlist = MultiplierSpec::parse(&arch, 4)
             .expect("architecture")
             .build();
-        let reference = run(&netlist, 4, Method::MtLr, budget);
+        let reference = check_against_oracle(&netlist, 4, budget);
         assert!(
             reference.outcome.is_verified(),
             "{arch}: MT-LR must verify at width 4, got {:?}",
             reference.outcome
         );
-        assert_parallel_matches(&netlist, 4, &reference, budget);
     }
 }
 
@@ -143,40 +140,25 @@ fn paper_architectures_widths_5_6_match_mt_lr() {
         deadline: None,
         threads: 0,
     };
-    let archs = [
-        "SP-AR-RC", "SP-WT-CL", "SP-RT-KS", "SP-CT-BK", "SP-DT-HC", "BP-AR-RC", "BP-WT-CL",
-        "BP-RT-KS", "BP-CT-BK", "BP-DT-HC",
-    ];
     for width in [5usize, 6] {
-        for arch in archs {
+        for arch in PAPER_ARCHITECTURES {
             let netlist = MultiplierSpec::parse(arch, width)
                 .expect("architecture")
                 .build();
-            let reference = run(&netlist, width, Method::MtLr, budget);
-            assert_parallel_matches(&netlist, width, &reference, budget);
+            check_against_oracle(&netlist, width, budget);
         }
     }
 }
 
-/// Fault-injected variants: the mismatch verdict and the grounded
-/// counterexample (operand words, circuit word, expected word) are identical
-/// between MT-LR and the parallel engine at every thread count.
+/// Fault-injected mutants: the mismatch verdict grounds the same
+/// counterexample (operand words, circuit word, expected word) at every
+/// thread count.
 #[test]
 fn fault_injected_variants_produce_identical_counterexamples() {
     let width = 4;
     let budget = Budget::default();
-    for (arch, seed) in [
-        ("SP-WT-CL", 3u64),
-        ("BP-CT-BK", 17),
-        ("SP-DT-HC", 29),
-        ("SP-RT-KS", 41),
-    ] {
-        let golden = MultiplierSpec::parse(arch, width)
-            .expect("architecture")
-            .build();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (_fault, mutant) = distinguishable_mutant(&golden, 200, &mut rng).expect("mutant");
-        let reference = run(&mutant, width, Method::MtLr, budget);
+    for (arch, mutant) in fault_injected_mutants(width) {
+        let reference = check_against_oracle(&mutant, width, budget);
         let Outcome::Mismatch { counterexample, .. } = &reference.outcome else {
             panic!(
                 "{arch}: mutant must be rejected, got {:?}",
@@ -185,20 +167,24 @@ fn fault_injected_variants_produce_identical_counterexamples() {
         };
         let cex = counterexample.as_ref().expect("counterexample");
         assert!(cex.operand("a").is_some() && cex.operand("b").is_some());
-        assert_parallel_matches(&mutant, width, &reference, budget);
     }
+}
+
+/// SP-DT-HC at width 8 rewrites in a fraction of a second and then reduces
+/// for tens of seconds, so a stop shortly after the start lands
+/// mid-reduction with certainty.
+fn long_reduction() -> Netlist {
+    MultiplierSpec::parse("SP-DT-HC", 8)
+        .expect("architecture")
+        .build()
 }
 
 /// A mid-reduction cancel through the shared `DeadlineToken` yields
 /// `Outcome::Cancelled` — not `ResourceLimit` — and the engine joins all its
-/// workers (the scoped pool cannot return otherwise).
+/// workers (the scoped shards cannot return otherwise).
 #[test]
 fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
-    // SP-DT-HC at width 8 reduces for tens of seconds, so a cancel shortly
-    // after the start lands mid-reduction with certainty.
-    let netlist = MultiplierSpec::parse("SP-DT-HC", 8)
-        .expect("architecture")
-        .build();
+    let netlist = long_reduction();
     let token = DeadlineToken::new();
     let canceller = {
         let token = token.clone();
@@ -221,9 +207,9 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
         Outcome::Cancelled,
         "a token cancel must surface as Cancelled, not ResourceLimit"
     );
-    // The run reacted to the cancel instead of completing the ~half-minute
-    // reduction (generous bound: cancellation is polled every few thousand
-    // products, orders of magnitude below this).
+    // The run reacted to the cancel instead of completing the reduction
+    // (generous bound: cancellation is polled every few thousand products,
+    // orders of magnitude below this).
     assert!(
         report.stats.total_time < Duration::from_secs(20),
         "cancellation took {:?}",
@@ -231,10 +217,37 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
     );
 }
 
-/// A cyclic netlist still surfaces `ExtractError` on the parallel path:
-/// extraction fails before any cone decomposition runs, exactly as for the
-/// single-threaded strategies (and `gbmv::netlist::cone::decompose_output_cones`
-/// reports the stuck nets when called directly).
+/// A budget deadline that expires mid-reduction surfaces as
+/// `ResourceLimit { phase: Reduce }` — not `Cancelled` — at one and at two
+/// threads: the budget's `DeadlineToken` is the only clock, and the pipeline
+/// maps its stops to outcomes.
+#[test]
+fn mid_reduction_deadline_returns_resource_limit() {
+    let netlist = long_reduction();
+    for threads in [1, 2] {
+        let budget = Budget::default()
+            .with_deadline(Duration::from_millis(300))
+            .with_threads(threads);
+        let report = run(&netlist, 8, Method::MtLrPar, budget);
+        assert_eq!(
+            report.outcome,
+            Outcome::ResourceLimit {
+                phase: Phase::Reduce
+            },
+            "{threads} threads: an expired deadline must surface as a reduction resource limit"
+        );
+        assert!(
+            report.stats.total_time < Duration::from_secs(20),
+            "{threads} threads: the deadline stop took {:?}",
+            report.stats.total_time
+        );
+    }
+}
+
+/// A cyclic netlist surfaces `ExtractError` on the `MT-LR-PAR` path:
+/// extraction fails before any strategy runs (and
+/// `gbmv::netlist::cone::decompose_output_cones` reports the stuck nets when
+/// called directly).
 #[test]
 fn cyclic_netlist_surfaces_extract_error_on_parallel_path() {
     use gbmv::netlist::GateKind;
@@ -251,12 +264,12 @@ fn cyclic_netlist_surfaces_extract_error_on_parallel_path() {
     assert!(!stuck.is_empty());
 }
 
-/// Genuinely disjoint output cones are verified as independent parallel jobs
-/// (two side-by-side units under one custom specification), with identical
-/// results at every thread count.
+/// Two side-by-side units with disjoint output cones verify under one custom
+/// specification at every thread count. The specification's input-only
+/// terms go straight to the engine's retired accumulator.
 #[test]
-fn disjoint_cones_verify_in_parallel_jobs() {
-    use gbmv::poly::{Int, Monomial, Polynomial, Var};
+fn disjoint_units_verify_at_every_thread_count() {
+    use gbmv::poly::Var;
     // Two independent blocks: x = a ^ b (tail a + b - 2ab), y = c & d.
     let mut nl = Netlist::new("two_units");
     let a = nl.add_input("a");

@@ -1,57 +1,41 @@
-//! Differential harness for the indexed rewriting engine: the Step-2
-//! rewrite on the incrementally indexed term store
-//! (`indexed_logic_reduction_rewriting`, the rewriter behind `MT-LR-IDX`
-//! and `MT-LR-PAR`) must produce **term-for-term identical post-rewrite
-//! models** to the scan-based `logic_reduction_rewriting` oracle, and the
-//! full pipelines must agree on verdicts and counterexamples — across every
-//! genmul architecture at width 4, the paper's ten architectures at widths
-//! 5–6, and fault-injected mutants.
+//! Differential harness for the indexed rewriting engine: the Step-2 rewrite
+//! on the incrementally indexed term store
+//! (`indexed_logic_reduction_rewriting`, the rewriter of `MT-LR-PAR`) must
+//! produce **term-for-term identical post-rewrite models** to the scan-based
+//! `logic_reduction_rewriting` oracle across every genmul architecture at
+//! width 4, the paper's ten architectures at widths 5–6, and fault-injected
+//! mutants. `tests/parallel_equivalence.rs` pins the full pipeline's verdicts
+//! on the same circuits against the MT-LR oracle; this file runs no full
+//! pipeline, so each oracle result is computed once, there.
 //!
 //! The byte-identity comparison runs the indexed engine in its **tracker
 //! mode** (`VanishingRules { closure: false, .. }`): the same static
 //! per-monomial pattern test as the oracle's tracker, judged at insertion
-//! instead of by post-step sweeps. The comparison canonicalizes both sides'
-//! coefficients modulo `2^(2n)` before the sorted term dump compare: the
-//! indexed engine *stores* the canonical representative in `[0, 2^(2n))`
-//! (coefficients cancel at insertion time), while the oracle keeps exact
-//! integers — the two only ever differ by multiples of `2^(2n)`, which the
-//! zero test quotients out. Everything else — which polynomials survive
-//! `UpdateModel`, which monomials each tail contains, every canonical
-//! coefficient — must be bit-identical.
+//! instead of by post-step sweeps. Both sides' coefficients are
+//! canonicalized modulo `2^(2n)` before the sorted term dumps are compared:
+//! the indexed engine *stores* the canonical representative in
+//! `[0, 2^(2n))`, while the oracle keeps exact integers, and the two only
+//! ever differ by multiples of `2^(2n)`, which the zero test quotients out.
+//! Everything else — which polynomials survive `UpdateModel`, which
+//! monomials each tail contains, every canonical coefficient — must be
+//! bit-identical.
 //!
-//! The presets themselves default to the *closure* mode (the
-//! unit-propagation closure applied during each substitution), which
-//! cancels strictly more monomials and therefore cannot be byte-identical
-//! to the scan oracle — but every extra cancellation is a member of the
-//! circuit ideal, so completed verdicts and counterexamples are exactly
-//! preserved. The verdict tests here run the presets in their default
-//! closure mode and pin precisely that.
+//! The file also pins a cancel landing as Step 2 starts: it must surface as
+//! `Outcome::Cancelled` before any rewrite or reduction work.
+
+mod common;
 
 use std::time::Duration;
 
+use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
 use gbmv::core::rewrite::{
     indexed_logic_reduction_rewriting, logic_reduction_rewriting, RewriteConfig,
 };
 use gbmv::core::{AlgebraicModel, Phase, Progress, VanishingRules};
-use gbmv::genmul::{Accumulator, FinalAdder, MultiplierSpec, PartialProduct};
-use gbmv::netlist::fault::distinguishable_mutant;
+use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
 use gbmv::poly::{Int, Monomial, Polynomial};
-use gbmv::{Budget, DeadlineToken, Method, Outcome, Report, Session, Spec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn all_architectures() -> Vec<String> {
-    let mut archs = Vec::new();
-    for pp in PartialProduct::all() {
-        for acc in Accumulator::all() {
-            for fsa in FinalAdder::all() {
-                archs.push(format!("{}-{}-{}", pp.abbrev(), acc.abbrev(), fsa.abbrev()));
-            }
-        }
-    }
-    archs
-}
+use gbmv::{Budget, DeadlineToken, Method, Outcome, Session, Spec};
 
 fn sorted_terms(p: &Polynomial) -> Vec<(Monomial, Int)> {
     let mut terms: Vec<(Monomial, Int)> = p.iter().map(|(m, c)| (m.clone(), c.clone())).collect();
@@ -60,14 +44,15 @@ fn sorted_terms(p: &Polynomial) -> Vec<(Monomial, Int)> {
 }
 
 /// Rewrites one copy of the model with the scan-based oracle and one with
-/// the indexed engine, then asserts bit-identical post-rewrite models: the
-/// same surviving polynomial set and, per polynomial, the same sorted term
-/// dump after canonicalizing both sides modulo `2^(2n)`.
+/// the indexed engine in tracker mode, then asserts bit-identical
+/// post-rewrite models: the same surviving polynomial set and, per
+/// polynomial, the same sorted term dump after canonicalizing both sides
+/// modulo `2^(2n)`.
 fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
     let base = AlgebraicModel::from_netlist(netlist).expect("acyclic");
     let k = 2 * width as u32;
-    // Tracker mode: the byte-identical differential contract. (The oracle
-    // ignores the `closure` flag; only the indexed engine switches on it.)
+    // The oracle ignores the `closure` flag; only the indexed engine
+    // switches on it.
     let config = RewriteConfig {
         rules: VanishingRules {
             closure: false,
@@ -105,155 +90,45 @@ fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
     }
 }
 
-fn run(netlist: &Netlist, width: usize, method: Method, budget: Budget) -> Report {
-    Session::extract(netlist)
-        .expect("acyclic")
-        .spec(Spec::multiplier(width))
-        .strategy(method)
-        .budget(budget)
-        .run()
-        .expect("interface")
-}
-
-/// Same verdict contract as the PR-4 parallel-equivalence harness: exact
-/// verdicts, canonical remainder term counts, and bit-identical grounded
-/// counterexamples; a resource-limited reference may be beaten (the indexed
-/// engines prune vanishing terms before they materialize) but never
-/// contradicted.
-fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Report, label: &str) {
-    match (&reference.outcome, &candidate.outcome) {
-        (Outcome::Verified, Outcome::Verified) => {}
-        (
-            Outcome::Mismatch {
-                remainder_terms: a,
-                counterexample: ca,
-            },
-            Outcome::Mismatch {
-                remainder_terms: b,
-                counterexample: cb,
-            },
-        ) => {
-            assert_eq!(
-                a,
-                b,
-                "{}: canonical remainders must agree ({label})",
-                netlist.name()
-            );
-            assert_eq!(
-                ca,
-                cb,
-                "{}: counterexamples must be bit-identical ({label})",
-                netlist.name()
-            );
-        }
-        (Outcome::ResourceLimit { .. }, got) => {
-            assert!(
-                matches!(got, Outcome::ResourceLimit { .. } | Outcome::Verified),
-                "{}: {label} contradicts the resource-limited run: {got:?}",
-                netlist.name()
-            );
-        }
-        (expected, got) => panic!(
-            "{}: outcomes diverge ({label}): MT-LR {expected:?}, got {got:?}",
-            netlist.name()
-        ),
-    }
-}
-
-/// Runs the indexed-rewrite presets against the MT-LR reference: `MT-LR-IDX`
-/// and `MT-LR-PAR` both rewrite through the indexed engine, so both pin the
-/// rewriter's verdict behaviour.
-fn assert_verdicts_match(netlist: &Netlist, width: usize, budget: Budget) -> Report {
-    let reference = run(netlist, width, Method::MtLr, budget);
-    let idx = run(netlist, width, Method::MtLrIdx, budget);
-    assert_outcome_matches(netlist, &reference, &idx, "MT-LR-IDX");
-    let par = run(netlist, width, Method::MtLrPar, budget.with_threads(1));
-    assert_outcome_matches(netlist, &reference, &par, "MT-LR-PAR");
-    reference
-}
-
-/// Every genmul architecture at width 4: bit-identical post-rewrite models
-/// and identical verdicts.
+/// Every genmul architecture at width 4.
 #[test]
 fn every_architecture_width_4_rewrites_identically() {
-    let budget = Budget::default();
     for arch in all_architectures() {
         let netlist = MultiplierSpec::parse(&arch, 4)
             .expect("architecture")
             .build();
         assert_rewrite_equivalent(&netlist, 4);
-        let reference = assert_verdicts_match(&netlist, 4, budget);
-        assert!(
-            reference.outcome.is_verified(),
-            "{arch}: MT-LR must verify at width 4, got {:?}",
-            reference.outcome
-        );
     }
 }
 
-/// The paper's ten Table I/II architectures at widths 5 and 6, under a
-/// deterministic term budget (no wall clock, so any blow-up surfaces as the
-/// same `ResourceLimit` on every machine).
+/// The paper's ten Table I/II architectures at widths 5 and 6.
 #[test]
 fn paper_architectures_widths_5_6_rewrite_identically() {
-    let budget = Budget {
-        max_terms: 2_000_000,
-        deadline: None,
-        threads: 0,
-    };
-    let archs = [
-        "SP-AR-RC", "SP-WT-CL", "SP-RT-KS", "SP-CT-BK", "SP-DT-HC", "BP-AR-RC", "BP-WT-CL",
-        "BP-RT-KS", "BP-CT-BK", "BP-DT-HC",
-    ];
     for width in [5usize, 6] {
-        for arch in archs {
+        for arch in PAPER_ARCHITECTURES {
             let netlist = MultiplierSpec::parse(arch, width)
                 .expect("architecture")
                 .build();
             assert_rewrite_equivalent(&netlist, width);
-            assert_verdicts_match(&netlist, width, budget);
         }
     }
 }
 
 /// Fault-injected mutants: the rewrite stays bit-identical on buggy
-/// circuits too, and the mismatch verdict grounds the same counterexample
-/// (operand words, circuit word, expected word) on both engines.
+/// circuits too.
 #[test]
 fn fault_injected_mutants_rewrite_identically() {
-    let width = 4;
-    let budget = Budget::default();
-    for (arch, seed) in [
-        ("SP-WT-CL", 3u64),
-        ("BP-CT-BK", 17),
-        ("SP-DT-HC", 29),
-        ("SP-RT-KS", 41),
-    ] {
-        let golden = MultiplierSpec::parse(arch, width)
-            .expect("architecture")
-            .build();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (_fault, mutant) = distinguishable_mutant(&golden, 200, &mut rng).expect("mutant");
-        assert_rewrite_equivalent(&mutant, width);
-        let reference = assert_verdicts_match(&mutant, width, budget);
-        let Outcome::Mismatch { counterexample, .. } = &reference.outcome else {
-            panic!(
-                "{arch}: mutant must be rejected, got {:?}",
-                reference.outcome
-            );
-        };
-        let cex = counterexample.as_ref().expect("counterexample");
-        assert!(cex.operand("a").is_some() && cex.operand("b").is_some());
+    for (_arch, mutant) in fault_injected_mutants(4) {
+        assert_rewrite_equivalent(&mutant, 4);
     }
 }
 
-/// A `DeadlineToken::cancel()` fired from an observer as Step 2 starts
-/// surfaces as `Outcome::Cancelled` — not `ResourceLimit { Rewrite }` — on
-/// the indexed rewriter. The existing mid-reduction test only covered a
-/// cancel landing in Step 3.
-#[test]
-fn mid_rewrite_cancel_returns_cancelled_not_resource_limit() {
-    let netlist = MultiplierSpec::parse("SP-RT-KS", 8)
+/// Runs `arch` at width 8 on `MT-LR-PAR` with `threads` workers and a
+/// `DeadlineToken::cancel()` fired from an observer as Step 2 starts, and
+/// asserts the run stops there: `Outcome::Cancelled` — not
+/// `ResourceLimit { Rewrite }` — with no substitution done in either step.
+fn assert_cancel_at_rewrite_start(arch: &str, threads: usize) {
+    let netlist = MultiplierSpec::parse(arch, 8)
         .expect("architecture")
         .build();
     let token = DeadlineToken::new();
@@ -261,8 +136,8 @@ fn mid_rewrite_cancel_returns_cancelled_not_resource_limit() {
     let report = Session::extract(&netlist)
         .expect("acyclic")
         .spec(Spec::multiplier(8))
-        .strategy(Method::MtLrIdx)
-        .budget(Budget::default())
+        .strategy(Method::MtLrPar)
+        .budget(Budget::default().with_threads(threads))
         .cancel_token(token)
         .observer(move |p| {
             if matches!(
@@ -279,53 +154,32 @@ fn mid_rewrite_cancel_returns_cancelled_not_resource_limit() {
     assert_eq!(
         report.outcome,
         Outcome::Cancelled,
-        "a token cancel during rewriting must surface as Cancelled"
+        "{arch}, {threads} threads: a token cancel during rewriting must surface as Cancelled"
     );
     assert!(report.stats.rewrite.limit_exceeded);
     assert_eq!(
         report.stats.rewrite.substitutions, 0,
-        "the engine polls the token before the first substitution"
+        "{arch}, {threads} threads: the engine polls the token before the first substitution"
     );
+    assert_eq!(report.stats.reduction.substitutions, 0);
     assert!(
         report.stats.total_time < Duration::from_secs(20),
-        "cancellation took {:?}",
+        "{arch}, {threads} threads: cancellation took {:?}",
         report.stats.total_time
     );
 }
 
-/// The same mid-rewrite cancel on the parallel preset: the run returns (no
-/// dangling workers — the reduction pool is never spawned when Step 2 is
-/// cancelled) with `Outcome::Cancelled`.
+/// A mid-rewrite cancel on the single-threaded indexed engine surfaces as
+/// `Outcome::Cancelled`, not `ResourceLimit { Rewrite }`.
+#[test]
+fn mid_rewrite_cancel_returns_cancelled_not_resource_limit() {
+    assert_cancel_at_rewrite_start("SP-RT-KS", 1);
+}
+
+/// The same mid-rewrite cancel at four threads: the run returns (no dangling
+/// workers — the sharded reduction never starts when Step 2 is cancelled)
+/// with `Outcome::Cancelled`.
 #[test]
 fn mid_rewrite_cancel_on_parallel_preset_joins_cleanly() {
-    let netlist = MultiplierSpec::parse("SP-DT-HC", 8)
-        .expect("architecture")
-        .build();
-    let token = DeadlineToken::new();
-    let observer_token = token.clone();
-    let report = Session::extract(&netlist)
-        .expect("acyclic")
-        .spec(Spec::multiplier(8))
-        .strategy(Method::MtLrPar)
-        .budget(Budget::default().with_threads(4))
-        .cancel_token(token)
-        .observer(move |p| {
-            if matches!(
-                p,
-                Progress::PhaseStarted {
-                    phase: Phase::Rewrite
-                }
-            ) {
-                observer_token.cancel();
-            }
-        })
-        .run()
-        .expect("interface");
-    assert_eq!(report.outcome, Outcome::Cancelled);
-    assert_eq!(report.stats.reduction.substitutions, 0);
-    assert!(
-        report.stats.total_time < Duration::from_secs(20),
-        "cancellation took {:?}",
-        report.stats.total_time
-    );
+    assert_cancel_at_rewrite_start("SP-DT-HC", 4);
 }
