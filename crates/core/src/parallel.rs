@@ -22,6 +22,10 @@
 //! * A substitution step that expands into at least 16 K candidate products
 //!   is sharded over term ranges across
 //!   [`crate::Budget::effective_threads`] scoped worker threads.
+//! * The term budget holds inside a step: a step stops as soon as the store
+//!   size at its start plus the products it has emitted passes
+//!   [`crate::Budget::max_terms`], so neither the store nor a shard's
+//!   partial outgrows the budget.
 //!
 //! Integer term arithmetic is exact, and neither the substitution order nor
 //! the vanishing/modular dropping depends on the thread count, so remainders,
@@ -30,6 +34,7 @@
 //! deadline expiry stops the step at its next polling point, and the scoped
 //! workers join before the strategy returns.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use gbmv_poly::{IndexedPolynomial, Int, Monomial, Polynomial, Var};
@@ -143,6 +148,13 @@ impl FusedReduction<'_> {
         let mut retired_cols = 0u64;
 
         let outcome = loop {
+            // Only the ingested spec can exceed the budget here: every step
+            // keeps the store within it (see `expand`).
+            if r.num_terms() > self.max_terms {
+                break ReductionOutcome::LimitExceeded {
+                    terms: r.num_terms(),
+                };
+            }
             // Candidate selection — the same rule as `GbReduction`: among the
             // variables of the highest present logic level, the smallest
             // estimated growth `occurrences x (tail size - 1)`, tie-broken by
@@ -192,16 +204,16 @@ impl FusedReduction<'_> {
             let extracted = r.extract_terms_containing(v);
             match self.expand(&mut r, &extracted, tail, v, scratch.as_mut()) {
                 Ok(cancelled) => stats.cancelled_vanishing += cancelled,
-                Err(stop) => break stop,
+                Err(stop) => {
+                    if let ReductionOutcome::LimitExceeded { terms } = stop {
+                        stats.peak_terms = stats.peak_terms.max(terms);
+                    }
+                    break stop;
+                }
             }
             stats.substitutions += 1;
 
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if r.num_terms() > self.max_terms {
-                break ReductionOutcome::LimitExceeded {
-                    terms: stats.peak_terms,
-                };
-            }
             if let Some(stop) = ReductionOutcome::from_token(self.token) {
                 break stop;
             }
@@ -218,9 +230,19 @@ impl FusedReduction<'_> {
     /// into `r` afterwards. Addition is exact and commutative, and the
     /// canonical `mod 2^k` residue of an exact sum equals the residue of the
     /// canonical sum, so the resulting term table (and hence the maintained
-    /// occurrence counts) is bit-identical for any thread count. Returns the
-    /// number of cancelled (vanishing) products, or the token's stop when it
-    /// expired mid-step.
+    /// occurrence counts) is bit-identical for any thread count.
+    ///
+    /// The step's term bound is the store size after extraction plus every
+    /// product the step emits, and the step stops with [`Self::term_stop`]
+    /// once it passes `max_terms`. Each range checks its own products, so
+    /// neither the store nor any one partial outgrows the budget; shards
+    /// also add their counts to the step's total at every polling point, so
+    /// together they overshoot by at most one polling interval each; and
+    /// the fold checks the total once more. The bound counts products
+    /// rather than distinct terms, so whether a step stops does not depend
+    /// on the thread count.
+    ///
+    /// Returns the number of cancelled (vanishing) products, or the stop.
     fn expand(
         &self,
         r: &mut IndexedPolynomial,
@@ -229,13 +251,17 @@ impl FusedReduction<'_> {
         v: Var,
         scratch: Option<&mut VanishScratch>,
     ) -> Result<u64, ReductionOutcome> {
+        let bound = StepBound {
+            room: self.max_terms.saturating_sub(r.num_terms()),
+            emitted: AtomicUsize::new(0),
+        };
         let shards = if extracted.len() * tail.num_terms() >= SHARD_MIN_PRODUCTS {
             self.threads.min(extracted.len())
         } else {
             1
         };
         if shards <= 1 {
-            return self.expand_range(extracted, tail, v, scratch, |m, c| r.add_term(m, c));
+            return self.expand_range(extracted, tail, v, scratch, &bound, |m, c| r.add_term(m, c));
         }
         let chunk = extracted.len().div_ceil(shards);
         let partials: Vec<Result<(Polynomial, u64), ReductionOutcome>> =
@@ -243,13 +269,18 @@ impl FusedReduction<'_> {
                 let workers: Vec<_> = extracted
                     .chunks(chunk)
                     .map(|range| {
+                        let bound = &bound;
                         scope.spawn(move || {
                             let mut scratch = self.vanish.map(ClosureVanishing::scratch);
                             let mut local = Polynomial::zero();
-                            let cancelled =
-                                self.expand_range(range, tail, v, scratch.as_mut(), |m, c| {
-                                    local.add_term(m, c)
-                                })?;
+                            let cancelled = self.expand_range(
+                                range,
+                                tail,
+                                v,
+                                scratch.as_mut(),
+                                bound,
+                                |m, c| local.add_term(m, c),
+                            )?;
                             Ok((local, cancelled))
                         })
                     })
@@ -259,9 +290,12 @@ impl FusedReduction<'_> {
                     .map(|w| w.join().expect("shard worker"))
                     .collect()
             });
+        let partials = partials.into_iter().collect::<Result<Vec<_>, _>>()?;
+        if bound.emitted.into_inner() > bound.room {
+            return Err(self.term_stop());
+        }
         let mut cancelled = 0;
-        for partial in partials {
-            let (local, local_cancelled) = partial?;
+        for (local, local_cancelled) in partials {
             cancelled += local_cancelled;
             for (m, c) in local.iter() {
                 r.add_term(m.clone(), c.clone());
@@ -273,18 +307,23 @@ impl FusedReduction<'_> {
     /// Expands one range of extracted terms against `tail` into `sink`,
     /// checking the vanishing rules on each product before it is
     /// materialized (when an extracted term's `rest` already vanishes on its
-    /// own, its whole tail expansion is skipped). Returns the number of
-    /// cancelled products, or the token's stop when it expired mid-range.
+    /// own, its whole tail expansion is skipped) and counting every emitted
+    /// product against the step's `bound`. Returns the number of cancelled
+    /// products, or the stop when the token expired or the bound passed the
+    /// budget mid-range.
     fn expand_range(
         &self,
         range: &[(Monomial, Int)],
         tail: &Polynomial,
         v: Var,
         mut scratch: Option<&mut VanishScratch>,
+        bound: &StepBound,
         mut sink: impl FnMut(Monomial, Int),
     ) -> Result<u64, ReductionOutcome> {
         let mut cancelled = 0u64;
         let mut since_poll = 0usize;
+        let mut emitted = 0usize;
+        let mut published = 0usize;
         for (m, c) in range {
             let rest = m.without(v);
             if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
@@ -300,6 +339,10 @@ impl FusedReduction<'_> {
                     if let Some(stop) = ReductionOutcome::from_token(self.token) {
                         return Err(stop);
                     }
+                    if bound.publish(emitted - published) {
+                        return Err(self.term_stop());
+                    }
+                    published = emitted;
                 }
                 if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
                     if van.rest_union_vanishes(tm, s) {
@@ -307,10 +350,42 @@ impl FusedReduction<'_> {
                         continue;
                     }
                 }
+                emitted += 1;
+                if emitted > bound.room {
+                    return Err(self.term_stop());
+                }
                 sink(tm.mul(&rest), tc * c);
             }
         }
+        bound.publish(emitted - published);
         Ok(cancelled)
+    }
+
+    /// The stop of a step whose term bound passed `max_terms`. It reports the
+    /// bound's first value past the budget, so the reported terms do not
+    /// depend on where the shards noticed.
+    fn term_stop(&self) -> ReductionOutcome {
+        ReductionOutcome::LimitExceeded {
+            terms: self.max_terms.saturating_add(1),
+        }
+    }
+}
+
+/// The term bound of one substitution step, shared by its shards: the
+/// products the step may emit before the store could pass `max_terms`, and
+/// the products its ranges have published so far. The count publishes no
+/// other data, so `Relaxed` suffices; the fold reads it after the scoped
+/// workers joined.
+struct StepBound {
+    room: usize,
+    emitted: AtomicUsize,
+}
+
+impl StepBound {
+    /// Adds `products` to the step's total; `true` once the total passes
+    /// the room.
+    fn publish(&self, products: usize) -> bool {
+        self.emitted.fetch_add(products, Ordering::Relaxed) + products > self.room
     }
 }
 
@@ -329,6 +404,7 @@ mod tests {
             token: budget.token(),
             rules: VanishingRules::default(),
             modulus_bits: None,
+            spec_weights: None,
         }
     }
 
@@ -418,11 +494,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_expansion_matches_serial() {
-        // One step of 256 x 128 = 32 K products crosses the sharding
-        // threshold; every thread count must leave the same canonical term
-        // table behind.
+    /// One step of 256 x 128 = 32 K products, which crosses the sharding
+    /// threshold, expanded at `threads` workers under `max_terms`. Returns
+    /// the resulting term table and the step's result.
+    fn sharded_step(
+        threads: usize,
+        max_terms: usize,
+    ) -> (Polynomial, Result<u64, ReductionOutcome>) {
         let (model, _, _) = model_and_spec("SP-WT-CL", 4);
         let token = DeadlineToken::new();
         let v = Var(0);
@@ -439,23 +517,51 @@ mod tests {
         let tail =
             Polynomial::from_terms((0..128).map(|i| (subset(i, 9), Int::from(3 - i as i64))));
         assert!(extracted.len() * tail.num_terms() >= SHARD_MIN_PRODUCTS);
-        let expand = |threads| {
-            let engine = FusedReduction {
-                model: &model,
-                vanish: None,
-                modulus_bits: Some(8),
-                max_terms: usize::MAX,
-                token: &token,
-                threads,
-            };
-            let mut r = IndexedPolynomial::new(vec![false; 17], Some(8));
-            let cancelled = engine.expand(&mut r, &extracted, &tail, v, None);
-            (r.into_polynomial(), cancelled)
+        let engine = FusedReduction {
+            model: &model,
+            vanish: None,
+            modulus_bits: Some(8),
+            max_terms,
+            token: &token,
+            threads,
         };
-        let serial = expand(1);
+        let mut r = IndexedPolynomial::new(vec![false; 17], Some(8));
+        let result = engine.expand(&mut r, &extracted, &tail, v, None);
+        (r.into_polynomial(), result)
+    }
+
+    #[test]
+    fn sharded_expansion_matches_serial() {
+        // Every thread count must leave the same canonical term table
+        // behind.
+        let serial = sharded_step(1, usize::MAX);
         assert!(serial.0.num_terms() > 0);
         for threads in [2, 3, 8] {
-            assert_eq!(expand(threads), serial, "{threads} threads");
+            assert_eq!(
+                sharded_step(threads, usize::MAX),
+                serial,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn sharded_step_stops_at_the_term_bound() {
+        // The 32 K-product step passes a 1 000-term bound long before it
+        // ends, in one range and in every shard split. A 20 000-term bound
+        // holds for each shard of two or more on its own, so there the fold
+        // must catch the step's total.
+        for max_terms in [1_000, 20_000] {
+            for threads in [1, 2, 3, 8] {
+                let (_, result) = sharded_step(threads, max_terms);
+                assert_eq!(
+                    result,
+                    Err(ReductionOutcome::LimitExceeded {
+                        terms: max_terms + 1
+                    }),
+                    "{threads} threads, {max_terms} terms"
+                );
+            }
         }
     }
 }

@@ -248,6 +248,7 @@ impl Portfolio {
                     token,
                     rules: self.rules,
                     modulus_bits,
+                    spec_weights: None,
                 };
                 let cex_ctx = CexContext {
                     model: &self.model,

@@ -32,7 +32,8 @@ pub enum ReductionOutcome {
     Completed,
     /// The intermediate polynomial exceeded the configured term limit.
     LimitExceeded {
-        /// Number of terms when the limit was hit.
+        /// Number of terms when the limit was hit. The indexed engine stops
+        /// inside a step and reports its step bound, `max_terms + 1`.
         terms: usize,
     },
     /// The cancellation token's deadline passed.

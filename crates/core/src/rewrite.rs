@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use gbmv_poly::{FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
 
 use crate::budget::DeadlineToken;
-use crate::model::AlgebraicModel;
+use crate::model::{AlgebraicModel, GateFunction};
 use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
 
 /// The keep-set selection schemes.
@@ -46,7 +46,9 @@ pub struct RewriteConfig {
     /// Which structural vanishing rules to apply (only used by schemes that
     /// enable the rule, i.e. XOR rewriting).
     pub rules: VanishingRules,
-    /// Abort when any tail polynomial exceeds this many terms.
+    /// Abort when any tail polynomial exceeds this many terms. The indexed
+    /// rewriter checks inside each substitution step, before a tail can
+    /// outgrow the budget; the scan rewriter checks after each step.
     pub max_terms: usize,
     /// Cooperative cancellation and the only clock: the pass aborts (with
     /// [`RewriteStats::limit_exceeded`]) as soon as the token is cancelled or
@@ -104,6 +106,50 @@ impl RewriteStats {
         self.elapsed += other.elapsed;
         self.limit_exceeded |= other.limit_exceeded;
     }
+}
+
+/// The spec weight `W(v)` of every model variable, indexed by
+/// [`Var::index`]: the smallest 2-adic valuation of the coefficient of a
+/// `spec` term whose monomial reaches `v` through the gate DAG, capped at
+/// `k`. A variable no spec term reaches gets `k`, so its tail is dropped:
+/// no remainder term can contain it. For a multiplier spec
+/// (`-2^j s_j` per output, modulus `2^(2n)`) `W(v)` is the lowest output
+/// column `v` feeds.
+///
+/// The weights let Step 2 keep each tail modulo `2^(k - W(v))` instead of
+/// `2^k` (see [`gb_rewrite_indexed`]). This is sound for a zero test modulo
+/// `2^k`:
+///
+/// * every remainder term that contains `v` descends from a spec term that
+///   reaches `v`, and substitution only multiplies and adds coefficients, so
+///   that term's coefficient `c` is a multiple of `2^W(v)` and `c · tail(v)`
+///   does not change modulo `2^k`;
+/// * a rewritten tail of `v` only mentions variables `u` of `v`'s cone, and
+///   there `W(u) <= W(v)`, so substituting `tail(u)`, known modulo
+///   `2^(k - W(u))`, into `tail(v)`, kept modulo `2^(k - W(v))`, loses
+///   nothing.
+pub fn spec_weights(model: &AlgebraicModel, spec: &Polynomial, k: u32) -> Vec<u32> {
+    let mut weights = vec![k; model.var_count()];
+    for (m, c) in spec.iter() {
+        let valuation = (0..k).find(|&b| !c.is_multiple_of_pow2(b + 1)).unwrap_or(k);
+        for x in m.vars() {
+            if let Some(w) = weights.get_mut(x.index()) {
+                *w = (*w).min(valuation);
+            }
+        }
+    }
+    // Logic levels strictly increase along every gate edge, so descending
+    // level is a reverse-topological order: each gate's weight is final
+    // before it propagates to the gate's inputs.
+    let mut gates: Vec<(&Var, &GateFunction)> = model.gate_functions().iter().collect();
+    gates.sort_unstable_by_key(|&(&v, _)| std::cmp::Reverse(model.level(v)));
+    for (&v, gate) in gates {
+        let w = weights[v.index()];
+        for u in &gate.inputs {
+            weights[u.index()] = weights[u.index()].min(w);
+        }
+    }
+    weights
 }
 
 /// Computes the keep-set `V` of a scheme for the current model.
@@ -339,10 +385,16 @@ impl<'a> RewriteVanishing<'a> {
 ///   monomial alone already vanishes (sound because both predicates are
 ///   monotone: every supermonomial of a vanishing monomial vanishes too);
 /// * with `modulus_bits = Some(k)`, coefficients are kept canonical mod
-///   `2^k` and terms cancel at insertion time;
+///   `2^k` and terms cancel at insertion time; with `weights` as well (the
+///   [`spec_weights`] of the run), the tail of `v` is kept mod
+///   `2^(k - W(v))` instead, so the tail of the top product bit of a
+///   multiplier keeps only its parity;
 /// * terms over keep-set variables and primary inputs only (no remaining
 ///   substitution candidate) retire into the store's inert accumulator,
-///   outside all per-step index maintenance.
+///   outside all per-step index maintenance;
+/// * a substitution step stops as soon as its term bound — the tail's size
+///   after extraction plus the products the step has emitted — passes
+///   `config.max_terms`, so no tail outgrows the budget mid-step.
 ///
 /// The tracked set of each tail's store is its candidate set. On the
 /// topologically ordered pass of a well-formed model every replacement tail
@@ -352,8 +404,8 @@ impl<'a> RewriteVanishing<'a> {
 /// example after an earlier pass stopped at a limit) stay correct.
 ///
 /// The rewritten tails are the canonical post-rewrite form: coefficients in
-/// `[0, 2^k)` when a modulus is given. Which products cancel depends on the
-/// `vanishing` mode:
+/// `[0, 2^k)` when a modulus is given (in `[0, 2^(k - W(v)))` with
+/// `weights`). Which products cancel depends on the `vanishing` mode:
 ///
 /// * [`RewriteVanishing::Tracker`] applies the *same* static per-monomial
 ///   test as the scan engine's tracker, so judging each product at
@@ -362,7 +414,8 @@ impl<'a> RewriteVanishing<'a> {
 ///   swept once, when the first substitution touches it. Modulo the
 ///   coefficient canonicalization the result is then term-for-term
 ///   identical to [`gb_rewrite`]'s — pinned across every generator
-///   architecture by `tests/rewrite_equivalence.rs`.
+///   architecture by `tests/rewrite_equivalence.rs`, which also pins the
+///   weighted tails against the oracle's tails reduced mod `2^(k - W(v))`.
 /// * [`RewriteVanishing::Closure`] applies the unit-propagation closure of
 ///   the reduction engines, which cancels strictly more monomials. The
 ///   post-rewrite model is then *not* syntactically the scan engine's —
@@ -380,6 +433,7 @@ pub fn gb_rewrite_indexed(
     vanishing: Option<RewriteVanishing>,
     config: &RewriteConfig,
     modulus_bits: Option<u32>,
+    weights: Option<&[u32]>,
 ) -> RewriteStats {
     let start = Instant::now();
     let mut stats = RewriteStats::default();
@@ -420,7 +474,9 @@ pub fn gb_rewrite_indexed(
         for &u in &cand {
             tracked[u.index()] = true;
         }
-        let mut store = IndexedPolynomial::new(tracked, modulus_bits);
+        let weight = weights.map_or(0, |w| w[v.index()]);
+        let mut store =
+            IndexedPolynomial::new(tracked, modulus_bits.map(|k| k.saturating_sub(weight)));
         for (m, c) in tail.iter() {
             store.add_term(m.clone(), c.clone());
         }
@@ -476,7 +532,13 @@ pub fn gb_rewrite_indexed(
                     cand.push(w);
                 }
             }
-            let mut aborted = false;
+            // The step's term bound: the tail's size after extraction plus
+            // every product the step emits. It bounds the store's size at
+            // any point of the step, so stopping when it passes the budget
+            // keeps the tail within `max_terms`.
+            let base = store.num_terms();
+            let mut emitted = 0usize;
+            let mut stopped = false;
             'terms: for (m, c) in &extracted {
                 let rest = m.without(u);
                 // Monotonicity of the predicates: if the residual monomial
@@ -493,7 +555,7 @@ pub fn gb_rewrite_indexed(
                     if since_poll >= CANCEL_POLL_INTERVAL {
                         since_poll = 0;
                         if config.cancel.expired() {
-                            aborted = true;
+                            stopped = true;
                             break 'terms;
                         }
                     }
@@ -507,18 +569,20 @@ pub fn gb_rewrite_indexed(
                         },
                         None => tm.mul(&rest),
                     };
+                    emitted += 1;
+                    if base + emitted > config.max_terms {
+                        stats.peak_terms = stats.peak_terms.max(base + emitted);
+                        stopped = true;
+                        break 'terms;
+                    }
                     store.add_term(pm, tc * c);
                 }
             }
-            if aborted {
+            if stopped {
                 stats.limit_exceeded = true;
                 break;
             }
             stats.peak_terms = stats.peak_terms.max(store.num_terms());
-            if store.num_terms() > config.max_terms {
-                stats.limit_exceeded = true;
-                break;
-            }
         }
         stats.index_hits += store.index_hits();
         // Reassemble even a partially rewritten tail — the scan engine also
@@ -552,16 +616,17 @@ pub fn indexed_xor_rewriting(
     model: &mut AlgebraicModel,
     config: &RewriteConfig,
     modulus_bits: Option<u32>,
+    weights: Option<&[u32]>,
 ) -> RewriteStats {
     let keep = keep_set(model, RewritingScheme::Xor);
     if config.rules.closure {
         let vanishing = ClosureVanishing::new(model, config.rules);
         let vanishing = RewriteVanishing::closure(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits)
+        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits, weights)
     } else {
         let vanishing = VanishingTracker::new(model, config.rules);
         let vanishing = RewriteVanishing::Tracker(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits)
+        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits, weights)
     }
 }
 
@@ -571,25 +636,29 @@ pub fn indexed_common_rewriting(
     model: &mut AlgebraicModel,
     config: &RewriteConfig,
     modulus_bits: Option<u32>,
+    weights: Option<&[u32]>,
 ) -> RewriteStats {
     let keep = keep_set(model, RewritingScheme::Common);
-    gb_rewrite_indexed(model, &keep, None, config, modulus_bits)
+    gb_rewrite_indexed(model, &keep, None, config, modulus_bits, weights)
 }
 
 /// Logic reduction rewriting (Algorithm 3) on the indexed store: indexed
 /// XOR rewriting followed by indexed common rewriting — the Step 2 of the
-/// `MT-LR-PAR` preset. With [`VanishingRules::closure`]
-/// disabled it produces the canonical (mod `2^k`) form of
-/// [`logic_reduction_rewriting`]'s result, term for term; with the default
+/// `MT-LR-PAR` preset, which passes the run's [`spec_weights`] as
+/// `weights`. With [`VanishingRules::closure`] disabled and no `weights` it
+/// produces the canonical (mod `2^k`) form of
+/// [`logic_reduction_rewriting`]'s result, term for term; with `weights`
+/// each tail is that form reduced mod `2^(k - W(v))`; with the default
 /// closure mode the model is smaller but reduces to the same remainder.
 pub fn indexed_logic_reduction_rewriting(
     model: &mut AlgebraicModel,
     config: &RewriteConfig,
     modulus_bits: Option<u32>,
+    weights: Option<&[u32]>,
 ) -> RewriteStats {
-    let mut stats = indexed_xor_rewriting(model, config, modulus_bits);
+    let mut stats = indexed_xor_rewriting(model, config, modulus_bits, weights);
     if !stats.limit_exceeded {
-        let common = indexed_common_rewriting(model, config, modulus_bits);
+        let common = indexed_common_rewriting(model, config, modulus_bits, weights);
         stats.merge(&common);
     }
     stats
@@ -599,6 +668,7 @@ pub fn indexed_logic_reduction_rewriting(
 mod tests {
     use super::*;
     use crate::reduction::GbReduction;
+    use crate::spec::Spec;
     use gbmv_genmul::{build_adder, AdderKind, MultiplierSpec};
     use gbmv_netlist::Netlist;
     use gbmv_poly::spec::{adder_spec, multiplier_spec};
@@ -775,7 +845,7 @@ mod tests {
         let mut oracle = base.clone();
         logic_reduction_rewriting(&mut oracle, &config);
         let mut indexed = base.clone();
-        let stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(8));
+        let stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(8), None);
         assert!(!stats.limit_exceeded);
         assert!(stats.index_hits > 0);
         assert!(stats.columns_retired > 0);
@@ -811,10 +881,15 @@ mod tests {
             ..RewriteConfig::default()
         };
         let mut tracked = base.clone();
-        let t_stats = indexed_logic_reduction_rewriting(&mut tracked, &tracker_config, Some(8));
+        let t_stats =
+            indexed_logic_reduction_rewriting(&mut tracked, &tracker_config, Some(8), None);
         let mut closed = base.clone();
-        let c_stats =
-            indexed_logic_reduction_rewriting(&mut closed, &RewriteConfig::default(), Some(8));
+        let c_stats = indexed_logic_reduction_rewriting(
+            &mut closed,
+            &RewriteConfig::default(),
+            Some(8),
+            None,
+        );
         assert!(!t_stats.limit_exceeded && !c_stats.limit_exceeded);
         // Note: the cancellation *count* is not comparable across modes —
         // the closure kills residuals before their products ever form, so
@@ -859,7 +934,7 @@ mod tests {
             cancel: token,
             ..RewriteConfig::default()
         };
-        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(12));
+        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(12), None);
         assert!(stats.limit_exceeded, "cancelled pass must stop early");
         assert_eq!(stats.substitutions, 0);
     }
@@ -872,7 +947,82 @@ mod tests {
             max_terms: 3,
             ..RewriteConfig::default()
         };
-        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(16));
+        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(16), None);
         assert!(stats.limit_exceeded);
+    }
+
+    /// The bound is checked per emitted product, so a limit-stopped pass
+    /// reports a peak of at most one term past the budget.
+    #[test]
+    fn indexed_rewrite_stops_inside_the_step() {
+        let nl = MultiplierSpec::parse("BP-RT-KS", 8).unwrap().build();
+        let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let config = RewriteConfig {
+            max_terms: 200,
+            ..RewriteConfig::default()
+        };
+        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(16), None);
+        assert!(stats.limit_exceeded);
+        assert_eq!(stats.peak_terms, 201);
+    }
+
+    fn multiplier_weights(arch: &str, spec: Spec, width: usize) -> (AlgebraicModel, Vec<u32>) {
+        let nl = MultiplierSpec::parse(arch, width).unwrap().build();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let (poly, modulus) = spec.instantiate(&model).unwrap();
+        let weights = spec_weights(&model, &poly, modulus.unwrap());
+        (model, weights)
+    }
+
+    /// Output bit `s_j` enters both multiplier specs as `2^j s_j` and feeds
+    /// no lower column, so its weight is `j`; every variable feeding output
+    /// 0 has weight 0.
+    #[test]
+    fn spec_weights_of_multiplier_outputs_are_their_columns() {
+        for spec in [Spec::multiplier(4), Spec::signed_multiplier(4)] {
+            let (model, weights) = multiplier_weights("BP-WT-CL", spec, 4);
+            for (j, &s) in model.outputs().iter().enumerate() {
+                assert_eq!(weights[s.index()], j as u32, "output {}", model.name(s));
+            }
+            for v in (0..model.var_count() as u32).map(Var) {
+                if model.column_mask(v) & 1 == 1 {
+                    assert_eq!(weights[v.index()], 0, "{} feeds s0", model.name(v));
+                }
+            }
+        }
+    }
+
+    /// For the unsigned multiplier spec the weight of every variable is the
+    /// lowest output column it feeds; a gate feeding no output (the
+    /// generator leaves a few) gets the cap `k = 10`.
+    #[test]
+    fn spec_weights_are_the_lowest_column_fed() {
+        let (model, weights) = multiplier_weights("SP-DT-HC", Spec::multiplier(5), 5);
+        for v in model.polynomial_order() {
+            let lowest = model.column_mask(v).trailing_zeros().min(10);
+            assert_eq!(weights[v.index()], lowest, "{}", model.name(v));
+        }
+    }
+
+    /// An output that also drives a gate feeding a lower output takes the
+    /// lower weight: `s1 = a0 & !a0` (constant 0, as the width-1 product
+    /// needs) also feeds `s0 = (a0 & b0) | s1`.
+    #[test]
+    fn output_feeding_a_lower_column_takes_its_weight() {
+        let mut nl = Netlist::new("mul1");
+        let a0 = nl.add_input("a0");
+        let b0 = nl.add_input("b0");
+        let na0 = nl.not1(a0, "na0");
+        let s1 = nl.and2(a0, na0, "s1");
+        let p = nl.and2(a0, b0, "p");
+        let s0 = nl.or2(p, s1, "s0");
+        nl.add_output("s0", s0);
+        nl.add_output("s1", s1);
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let (poly, modulus) = Spec::multiplier(1).instantiate(&model).unwrap();
+        let weights = spec_weights(&model, &poly, modulus.unwrap());
+        assert_eq!(weights[s0.index()], 0);
+        assert_eq!(weights[s1.index()], 0, "s1 feeds s0");
+        assert_eq!(weights[na0.index()], 0);
     }
 }

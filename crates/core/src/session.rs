@@ -30,7 +30,7 @@ use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::{find_assignment, ground_assignment, Counterexample};
 use crate::model::{AlgebraicModel, ExtractError};
 use crate::reduction::{ReductionOutcome, ReductionStats};
-use crate::rewrite::RewriteStats;
+use crate::rewrite::{spec_weights, RewriteStats};
 use crate::spec::{Spec, SpecError};
 use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
 use crate::vanishing::VanishingRules;
@@ -289,11 +289,13 @@ pub(crate) fn run_pipeline(
     let start = Instant::now();
     let mut stats = RunStats::default();
     let mut model = base.clone();
-    // Install the run's modulus into the context: rewrite strategies that
-    // store canonical mod-2^k coefficients (the indexed rewriter) read it
-    // from there, while reduction strategies receive it explicitly.
+    // Install the run's modulus and spec weights into the context: rewrite
+    // strategies that store canonical mod-2^k coefficients (the indexed
+    // rewriter) read them from there, while reduction strategies receive the
+    // modulus explicitly.
     let ctx = &PhaseContext {
         modulus_bits,
+        spec_weights: modulus_bits.map(|k| spec_weights(base, spec_poly, k)),
         ..ctx.clone()
     };
 
@@ -594,6 +596,7 @@ impl Session {
             token,
             rules: self.rules,
             modulus_bits,
+            spec_weights: None,
         };
         let cex_ctx = CexContext {
             model: &self.model,
@@ -835,6 +838,80 @@ mod tests {
             }
             other => panic!("expected mismatch, got {other:?}"),
         }
+    }
+
+    /// SP-RT-KS w6 used to stop only after the step that crossed a
+    /// 10 000-term budget, at 18 594 terms; the bound inside the step stops
+    /// it one term past the budget, at any thread count.
+    #[test]
+    fn term_limit_holds_inside_a_reduction_step() {
+        for threads in [1, 2] {
+            let report = session("SP-RT-KS", 6)
+                .strategy(Method::MtLrPar)
+                .budget(
+                    Budget::default()
+                        .with_max_terms(10_000)
+                        .with_threads(threads),
+                )
+                .run()
+                .unwrap();
+            assert_eq!(
+                report.outcome,
+                Outcome::ResourceLimit {
+                    phase: Phase::Reduce
+                },
+                "{threads} threads"
+            );
+            assert!(
+                report.stats.peak_terms() <= 10_001,
+                "{threads} threads: peak {}",
+                report.stats.peak_terms()
+            );
+        }
+    }
+
+    /// Records the spec weights each run hands to Step 2.
+    #[derive(Default)]
+    struct WeightProbe(std::sync::Mutex<Vec<Option<Vec<u32>>>>);
+
+    impl RewriteStrategy for std::sync::Arc<WeightProbe> {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn rewrite(&self, _model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+            self.0.lock().unwrap().push(ctx.spec_weights.clone());
+            RewriteStats::default()
+        }
+    }
+
+    fn weights_seen(netlist: &Netlist, spec: Spec) -> Option<Vec<u32>> {
+        let probe = std::sync::Arc::new(WeightProbe::default());
+        Session::extract(netlist)
+            .unwrap()
+            .spec(spec)
+            .rewrite_strategy(std::sync::Arc::clone(&probe))
+            .run()
+            .unwrap();
+        let mut seen = probe.0.lock().unwrap();
+        assert_eq!(seen.len(), 1, "one run, one rewrite");
+        seen.pop().unwrap()
+    }
+
+    /// The pipeline weights the tails only when the zero test has a modulus:
+    /// multipliers get one weight per variable, an adder and a custom
+    /// polynomial spec none.
+    #[test]
+    fn spec_weights_reach_step_2_only_with_a_modulus() {
+        let mul = MultiplierSpec::parse("SP-AR-RC", 4).unwrap().build();
+        let weights = weights_seen(&mul, Spec::multiplier(4)).expect("multiplier weights");
+        assert_eq!(weights.len(), mul.net_count());
+        let adder = build_adder(4, AdderKind::RippleCarry, false);
+        assert_eq!(weights_seen(&adder, Spec::adder(4)), None);
+        let (spec, _) = Spec::adder(4)
+            .instantiate(&AlgebraicModel::from_netlist(&adder).unwrap())
+            .unwrap();
+        assert_eq!(weights_seen(&adder, Spec::polynomial("add4", spec)), None);
     }
 
     #[test]

@@ -39,6 +39,14 @@ pub struct PhaseContext {
     /// the session pipeline installs it from the instantiated spec, so
     /// callers constructing a context by hand can leave it `None`.
     pub modulus_bits: Option<u32>,
+    /// The spec weight `W(v)` of every variable, indexed by `Var::index`
+    /// (see [`crate::rewrite::spec_weights`]), when the run has a modulus.
+    /// The indexed rewriter keeps the tail of `v` modulo `2^(k - W(v))`
+    /// instead of `2^k`: output bit `s_j` of a multiplier enters the spec
+    /// only as `2^j s_j`, so its tail matters only modulo `2^(2n - j)`. The
+    /// session pipeline installs it next to [`Self::modulus_bits`];
+    /// `None` keeps every tail modulo `2^k`.
+    pub spec_weights: Option<Vec<u32>>,
 }
 
 impl Default for PhaseContext {
@@ -49,6 +57,7 @@ impl Default for PhaseContext {
             token: budget.token(),
             rules: VanishingRules::default(),
             modulus_bits: None,
+            spec_weights: None,
         }
     }
 }
@@ -172,9 +181,9 @@ impl RewriteStrategy for LogicReductionRewrite {
 /// substitution (the unit-propagation closure by default, the scan
 /// tracker's pattern rules — term-for-term identical post-rewrite models
 /// to [`LogicReductionRewrite`] modulo coefficient canonicalization — when
-/// `VanishingRules::closure` is off), and canonical mod-`2^k` coefficients
-/// from [`PhaseContext::modulus_bits`] — the Step 2 of
-/// [`Method::MtLrPar`].
+/// `VanishingRules::closure` is off), and canonical coefficients modulo
+/// `2^(k - W(v))` from [`PhaseContext::modulus_bits`] and
+/// [`PhaseContext::spec_weights`] — the Step 2 of [`Method::MtLrPar`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedLogicReductionRewrite;
 
@@ -184,7 +193,12 @@ impl RewriteStrategy for IndexedLogicReductionRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        indexed_logic_reduction_rewriting(model, &ctx.rewrite_config(), ctx.modulus_bits)
+        indexed_logic_reduction_rewriting(
+            model,
+            &ctx.rewrite_config(),
+            ctx.modulus_bits,
+            ctx.spec_weights.as_deref(),
+        )
     }
 }
 

@@ -1,10 +1,12 @@
 //! Cross-crate integration tests: generator -> algebraic verifier -> SAT
 //! baseline -> simulation all agree, driven through the `Session` API.
 
+use gbmv::core::AlgebraicModel;
 use gbmv::genmul::{build_adder, AdderKind, MultiplierSpec};
-use gbmv::netlist::fault::distinguishable_mutant;
+use gbmv::netlist::fault::{distinguishable_mutant, Fault, FaultKind};
 use gbmv::netlist::sim::random_equivalence_check;
-use gbmv::netlist::Netlist;
+use gbmv::netlist::{GateKind, Netlist};
+use gbmv::poly::Var;
 use gbmv::sat::{check_against_product, check_equivalence};
 use gbmv::{Budget, Method, Outcome, Report, Session, Spec};
 use rand::rngs::StdRng;
@@ -106,6 +108,41 @@ fn mt_fo_blows_up_where_mt_lr_succeeds() {
     assert!(par_complex.stats.rewrite.peak_terms <= tight.max_terms);
 }
 
+/// Asserts that `report` rejects `mutant` with a counterexample that netlist
+/// simulation confirms: the circuit word is the simulated one and differs
+/// from the true product.
+fn assert_confirmed_mismatch(mutant: &Netlist, width: usize, report: &Report, label: &str) {
+    match &report.outcome {
+        Outcome::Mismatch {
+            remainder_terms,
+            counterexample,
+        } => {
+            assert!(*remainder_terms > 0, "{label}: empty remainder");
+            let cex = counterexample
+                .as_ref()
+                .unwrap_or_else(|| panic!("{label}: no counterexample"));
+            let a = cex.operand("a").expect("operand a");
+            let b = cex.operand("b").expect("operand b");
+            let simulated = mutant.evaluate_words(&[a, b], &[width, width]);
+            assert_eq!(
+                Some(simulated),
+                cex.circuit_word,
+                "{label}: counterexample circuit word must match simulation"
+            );
+            assert_eq!(
+                Some((a * b) % (1 << (2 * width))),
+                cex.expected_word,
+                "{label}: expected word must be the true product"
+            );
+            assert_ne!(
+                cex.circuit_word, cex.expected_word,
+                "{label}: counterexample must expose the fault"
+            );
+        }
+        other => panic!("{label}: expected mismatch, got {other:?}"),
+    }
+}
+
 /// Single-gate faults injected into three different architectures are
 /// rejected with `Outcome::Mismatch`, and the typed counterexample is
 /// validated against netlist simulation: the circuit word differs from the
@@ -123,37 +160,50 @@ fn faults_across_architectures_yield_validated_counterexamples() {
         assert!(random_equivalence_check(&golden, &mutant, 8, &mut rng).is_some());
         // The algebraic verifier rejects it with a grounded counterexample.
         let report = verify_mul(&mutant, width, Method::MtLr);
-        match &report.outcome {
-            Outcome::Mismatch {
-                remainder_terms,
-                counterexample,
-            } => {
-                assert!(*remainder_terms > 0, "{arch}: empty remainder");
-                let cex = counterexample
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{arch}: no counterexample for {fault:?}"));
-                let a = cex.operand("a").expect("operand a");
-                let b = cex.operand("b").expect("operand b");
-                let simulated = mutant.evaluate_words(&[a, b], &[width, width]);
-                assert_eq!(
-                    Some(simulated),
-                    cex.circuit_word,
-                    "{arch}: counterexample circuit word must match simulation"
-                );
-                assert_eq!(
-                    Some((a * b) % (1 << (2 * width))),
-                    cex.expected_word,
-                    "{arch}: expected word must be the true product"
-                );
-                assert_ne!(
-                    cex.circuit_word, cex.expected_word,
-                    "{arch}: counterexample must expose the fault"
-                );
-            }
-            other => panic!("{arch}: expected mismatch, got {other:?}"),
-        }
+        assert_confirmed_mismatch(&mutant, width, &report, &format!("{arch} {fault:?}"));
         // The SAT miter rejects it too.
         assert!(!check_equivalence(&golden, &mutant, None).is_equivalent());
+    }
+}
+
+/// Faults that only the top product bit `s_(2n-1)` sees. `MT-LR-PAR` keeps
+/// that bit's tail modulo 2 only (its spec weight is `2n - 1`), so a weight
+/// off by one would drop it and let these mutants verify. Per design, the
+/// gate driving `s_(2n-1)` is negated, and so is an XOR whose backward
+/// cone reaches no other output.
+#[test]
+fn top_column_mutants_are_rejected_by_the_weighted_engine() {
+    let width = 8;
+    let top = 1u64 << (2 * width - 1);
+    for arch in ["SP-WT-CL", "BP-CT-BK"] {
+        let golden = MultiplierSpec::parse(arch, width)
+            .expect("architecture")
+            .build();
+        let model = AlgebraicModel::from_netlist(&golden).expect("acyclic");
+        let (_, top_bit) = *golden.outputs().last().expect("outputs");
+        let gates = golden.gates();
+        let top_gate = gates
+            .iter()
+            .position(|g| g.output == top_bit)
+            .expect("top bit is driven");
+        let top_only_xor = gates
+            .iter()
+            .enumerate()
+            .position(|(i, g)| {
+                i != top_gate
+                    && g.kind == GateKind::Xor
+                    && model.column_mask(Var(g.output.0)) == top
+            })
+            .unwrap_or_else(|| panic!("{arch}: no XOR reaches only the top column"));
+        for (what, gate_index) in [("top-bit gate", top_gate), ("top-only XOR", top_only_xor)] {
+            let fault = Fault {
+                gate_index,
+                kind: FaultKind::OutputNegation,
+            };
+            let mutant = fault.apply(&golden);
+            let report = verify_mul(&mutant, width, Method::MtLrPar);
+            assert_confirmed_mismatch(&mutant, width, &report, &format!("{arch} {what}"));
+        }
     }
 }
 

@@ -20,6 +20,12 @@
 //! monomials each tail contains, every canonical coefficient — must be
 //! bit-identical.
 //!
+//! The same circuits also pin the **spec-weighted** tails that `MT-LR-PAR`
+//! builds: with the weights `W(v)` of `spec_weights`, the indexed engine keeps
+//! the tail of `v` modulo `2^(2n - W(v))` only. That run must keep the
+//! oracle's polynomial set, and every tail must equal the oracle's tail
+//! reduced modulo `2^(2n - W(v))`.
+//!
 //! The file also pins a cancel landing as Step 2 starts: it must surface as
 //! `Outcome::Cancelled` before any rewrite or reduction work.
 
@@ -29,7 +35,7 @@ use std::time::Duration;
 
 use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
 use gbmv::core::rewrite::{
-    indexed_logic_reduction_rewriting, logic_reduction_rewriting, RewriteConfig,
+    indexed_logic_reduction_rewriting, logic_reduction_rewriting, spec_weights, RewriteConfig,
 };
 use gbmv::core::{AlgebraicModel, Phase, Progress, VanishingRules};
 use gbmv::genmul::MultiplierSpec;
@@ -43,14 +49,20 @@ fn sorted_terms(p: &Polynomial) -> Vec<(Monomial, Int)> {
     terms
 }
 
-/// Rewrites one copy of the model with the scan-based oracle and one with
-/// the indexed engine in tracker mode, then asserts bit-identical
-/// post-rewrite models: the same surviving polynomial set and, per
-/// polynomial, the same sorted term dump after canonicalizing both sides
-/// modulo `2^(2n)`.
+/// Rewrites one copy of the model with the scan-based oracle and two with
+/// the indexed engine in tracker mode, one with uniform `2^(2n)` moduli and
+/// one with spec-weighted moduli. The uniform run must be bit-identical to
+/// the oracle: the same surviving polynomial set and, per polynomial, the
+/// same sorted term dump after canonicalizing both sides modulo `2^(2n)`.
+/// The weighted run must keep the same polynomial set, with every tail
+/// equal to the oracle's modulo `2^(2n - W(v))`.
 fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
     let base = AlgebraicModel::from_netlist(netlist).expect("acyclic");
-    let k = 2 * width as u32;
+    let (spec, modulus) = Spec::multiplier(width)
+        .instantiate(&base)
+        .expect("multiplier interface");
+    let k = modulus.expect("multipliers have a modulus");
+    let weights = spec_weights(&base, &spec, k);
     // The oracle ignores the `closure` flag; only the indexed engine
     // switches on it.
     let config = RewriteConfig {
@@ -63,27 +75,47 @@ fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
     let mut oracle = base.clone();
     let o_stats = logic_reduction_rewriting(&mut oracle, &config);
     let mut indexed = base.clone();
-    let i_stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(k));
+    let i_stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(k), None);
+    let mut weighted = base.clone();
+    let w_stats =
+        indexed_logic_reduction_rewriting(&mut weighted, &config, Some(k), Some(&weights));
     assert!(
-        !o_stats.limit_exceeded && !i_stats.limit_exceeded,
-        "{} width {width}: both rewrites must complete",
+        !o_stats.limit_exceeded && !i_stats.limit_exceeded && !w_stats.limit_exceeded,
+        "{} width {width}: all three rewrites must complete",
         netlist.name()
     );
     let o_polys = oracle.polynomial_order();
-    let i_polys = indexed.polynomial_order();
-    assert_eq!(
-        o_polys,
-        i_polys,
-        "{} width {width}: UpdateModel must keep the same polynomial set",
-        netlist.name()
-    );
+    for (label, model) in [("uniform", &indexed), ("weighted", &weighted)] {
+        assert_eq!(
+            o_polys,
+            model.polynomial_order(),
+            "{} width {width}: UpdateModel must keep the same polynomial set ({label})",
+            netlist.name()
+        );
+    }
     for v in o_polys {
-        let want = sorted_terms(&oracle.tail(v).expect("oracle tail").mod_coeffs_pow2(k));
+        let oracle_tail = oracle.tail(v).expect("oracle tail");
+        let want = sorted_terms(&oracle_tail.mod_coeffs_pow2(k));
         let got = sorted_terms(&indexed.tail(v).expect("indexed tail").mod_coeffs_pow2(k));
         assert_eq!(
             want,
             got,
             "{} width {width}: post-rewrite tail of {} diverges from the scan oracle",
+            netlist.name(),
+            oracle.name(v)
+        );
+        let bits = k - weights[v.index()];
+        let want = sorted_terms(&oracle_tail.mod_coeffs_pow2(bits));
+        let got = sorted_terms(
+            &weighted
+                .tail(v)
+                .expect("weighted tail")
+                .mod_coeffs_pow2(bits),
+        );
+        assert_eq!(
+            want,
+            got,
+            "{} width {width}: weighted tail of {} differs from the oracle's mod 2^{bits}",
             netlist.name(),
             oracle.name(v)
         );
