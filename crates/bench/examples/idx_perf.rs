@@ -25,7 +25,7 @@ fn main() {
         .budget(Budget {
             max_terms: config.max_terms,
             deadline: Some(config.timeout),
-            threads: 0,
+            ..Budget::default()
         })
         .counterexamples(false)
         .run()

@@ -110,7 +110,7 @@ impl HarnessConfig {
         Budget {
             max_terms: self.max_terms,
             deadline: Some(self.timeout),
-            threads: 0,
+            ..Budget::default()
         }
     }
 }
@@ -219,8 +219,7 @@ pub fn run_algebraic(
 ///
 /// Per-strategy elapsed times exclude the (shared, amortized) Step-1 model
 /// extraction; counterexample search is disabled so a `FAIL` cell stays
-/// cheap. The indexed engine's worker count follows `GBMV_THREADS` (else
-/// the machine's parallelism) via [`Budget::effective_threads`].
+/// cheap.
 pub fn table_portfolio(arch: &str, width: usize, config: &HarnessConfig) -> PortfolioReport {
     let netlist = build_architecture(arch, width);
     Portfolio::extract(&netlist)
@@ -274,10 +273,6 @@ pub struct BenchRecord {
     pub max_terms: usize,
     /// The wall-clock budget the run was given, in milliseconds.
     pub timeout_ms: u128,
-    /// Worker threads the strategy ran with (1 for the single-threaded
-    /// strategies; the resolved [`Budget::effective_threads`] for the
-    /// indexed engine).
-    pub threads: usize,
     /// `"ok"`, `"TO"` or `"FAIL"`.
     pub status: String,
 }
@@ -285,13 +280,6 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// Builds a record from one portfolio strategy run.
     pub fn from_run(arch: &str, width: usize, run: &StrategyRun, config: &HarnessConfig) -> Self {
-        // Only the indexed engine fans out; every other strategy runs its
-        // phases on one thread.
-        let threads = if run.strategy == Method::MtLrPar.name() {
-            config.budget().effective_threads()
-        } else {
-            1
-        };
         BenchRecord {
             arch: arch.to_string(),
             width,
@@ -306,7 +294,6 @@ impl BenchRecord {
             rewrite_ms: run.stats.as_ref().map(|s| s.rewrite.elapsed.as_millis()),
             max_terms: config.max_terms,
             timeout_ms: config.timeout.as_millis(),
-            threads,
             status: status_of(&run.outcome).to_string(),
         }
     }
@@ -316,7 +303,7 @@ impl BenchRecord {
             v.as_ref().map_or_else(|| "null".to_string(), T::to_string)
         }
         format!(
-            "{{\"arch\": \"{}\", \"width\": {}, \"strategy\": \"{}\", \"elapsed_ms\": {}, \"peak_terms\": {}, \"substitution_steps\": {}, \"index_hits\": {}, \"rewrite_steps\": {}, \"rewrite_index_hits\": {}, \"rewrite_peak_terms\": {}, \"rewrite_ms\": {}, \"max_terms\": {}, \"timeout_ms\": {}, \"threads\": {}, \"status\": \"{}\"}}",
+            "{{\"arch\": \"{}\", \"width\": {}, \"strategy\": \"{}\", \"elapsed_ms\": {}, \"peak_terms\": {}, \"substitution_steps\": {}, \"index_hits\": {}, \"rewrite_steps\": {}, \"rewrite_index_hits\": {}, \"rewrite_peak_terms\": {}, \"rewrite_ms\": {}, \"max_terms\": {}, \"timeout_ms\": {}, \"status\": \"{}\"}}",
             self.arch,
             self.width,
             self.strategy,
@@ -330,7 +317,6 @@ impl BenchRecord {
             opt(&self.rewrite_ms),
             self.max_terms,
             self.timeout_ms,
-            self.threads,
             self.status
         )
     }
@@ -505,7 +491,7 @@ mod tests {
         // serialize as `null`, not as a zero that reads like a measurement.
         assert_eq!(
             record.to_json(),
-            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"CEC\", \"elapsed_ms\": 42, \"peak_terms\": null, \"substitution_steps\": null, \"index_hits\": null, \"rewrite_steps\": null, \"rewrite_index_hits\": null, \"rewrite_peak_terms\": null, \"rewrite_ms\": null, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"threads\": 1, \"status\": \"ok\"}"
+            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"CEC\", \"elapsed_ms\": 42, \"peak_terms\": null, \"substitution_steps\": null, \"index_hits\": null, \"rewrite_steps\": null, \"rewrite_index_hits\": null, \"rewrite_peak_terms\": null, \"rewrite_ms\": null, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"status\": \"ok\"}"
         );
         let mut stats = gbmv_core::RunStats::default();
         stats.reduction.peak_terms = 7;
@@ -524,7 +510,7 @@ mod tests {
         let record = BenchRecord::from_run("SP-AR-RC", 8, &run, &config);
         assert_eq!(
             record.to_json(),
-            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"MT-LR\", \"elapsed_ms\": 42, \"peak_terms\": 9, \"substitution_steps\": 3, \"index_hits\": 11, \"rewrite_steps\": 5, \"rewrite_index_hits\": 13, \"rewrite_peak_terms\": 9, \"rewrite_ms\": 6, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"threads\": 1, \"status\": \"ok\"}"
+            "{\"arch\": \"SP-AR-RC\", \"width\": 8, \"strategy\": \"MT-LR\", \"elapsed_ms\": 42, \"peak_terms\": 9, \"substitution_steps\": 3, \"index_hits\": 11, \"rewrite_steps\": 5, \"rewrite_index_hits\": 13, \"rewrite_peak_terms\": 9, \"rewrite_ms\": 6, \"max_terms\": 1000000, \"timeout_ms\": 60000, \"status\": \"ok\"}"
         );
         let dir = std::env::temp_dir().join("gbmv_bench_json_test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -23,11 +23,9 @@ pub struct Budget {
     pub max_terms: usize,
     /// Wall-clock budget for the whole run; `None` means unlimited.
     pub deadline: Option<Duration>,
-    /// Worker threads the indexed engine ([`crate::ParallelReduction`])
-    /// shards large substitution steps over; `0` means auto: the
-    /// `GBMV_THREADS` environment variable if set, otherwise the machine's
-    /// available parallelism. Results do not depend on it, and the scan-based
-    /// strategies ignore it.
+    /// Ignored: every strategy runs its phases on the calling thread. The
+    /// field remains so that struct literals naming it still compile; it
+    /// will be removed.
     pub threads: usize,
 }
 
@@ -61,32 +59,6 @@ impl Budget {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Replaces the worker-thread count of the indexed engine (`0` = auto;
-    /// see [`Budget::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Resolves [`Budget::threads`] to a concrete worker count: the explicit
-    /// value if non-zero, else the `GBMV_THREADS` environment variable, else
-    /// the machine's available parallelism (at least 1).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if let Ok(value) = std::env::var("GBMV_THREADS") {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 
     /// Starts the clock: creates a token whose deadline is now plus

@@ -25,8 +25,8 @@
 //!    differential oracle, and the incremental indexed engine of
 //!    [`parallel`] ([`ParallelReduction`], preset [`Method::MtLrPar`]), whose
 //!    inverted var→term index makes each substitution step touch only the
-//!    affected terms and whose large steps shard over term ranges across
-//!    [`Budget::threads`] workers.
+//!    affected terms. It runs on the calling thread and shares its
+//!    substitution loop with the indexed Step-2 rewriter.
 //!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom

@@ -19,43 +19,29 @@
 //!   unit-propagation closure index ([`crate::ClosureVanishing`]), which
 //!   covers the paper's XOR-AND/NOR patterns as well as deeper
 //!   XOR-chain/majority contradictions.
-//! * A substitution step that expands into at least 16 K candidate products
-//!   is sharded over term ranges across
-//!   [`crate::Budget::effective_threads`] scoped worker threads.
 //! * The term budget holds inside a step: a step stops as soon as the store
-//!   size at its start plus the products it has emitted passes
-//!   [`crate::Budget::max_terms`], so neither the store nor a shard's
-//!   partial outgrows the budget.
+//!   size after its extraction plus the products it has emitted passes
+//!   [`crate::Budget::max_terms`], so the store never outgrows the budget.
 //!
-//! Integer term arithmetic is exact, and neither the substitution order nor
-//! the vanishing/modular dropping depends on the thread count, so remainders,
-//! verdicts and counterexamples are bit-identical for any `threads` value.
-//! Every worker polls the session's [`DeadlineToken`]; a cancellation or
-//! deadline expiry stops the step at its next polling point, and the scoped
-//! workers join before the strategy returns.
+//! Each step runs on the calling thread, through the product loop it shares
+//! with Step 2 ([`crate::rewrite::gb_rewrite_indexed`]). Integer term
+//! arithmetic is exact, so canonical remainders, verdicts and
+//! counterexamples equal the scan-based engine's. The loop polls the
+//! session's [`crate::DeadlineToken`]; a cancellation or deadline expiry
+//! stops the step at its next polling point.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use gbmv_poly::{IndexedPolynomial, Int, Monomial, Polynomial, Var};
+use gbmv_poly::{IndexedPolynomial, Polynomial, Var};
 
-use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
 use crate::reduction::{ReductionOutcome, ReductionStats};
+use crate::rewrite::{substitute_step, RewriteVanishing};
 use crate::strategy::{PhaseContext, ReductionStrategy};
-use crate::vanishing::{ClosureVanishing, VanishScratch};
-
-/// Shard the expansion of one substitution step across threads once it
-/// produces at least this many candidate product terms.
-const SHARD_MIN_PRODUCTS: usize = 16 * 1024;
-
-/// Poll the cancellation token every this many generated product terms, so
-/// even a single multi-second substitution step reacts to cancellation.
-const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
+use crate::vanishing::ClosureVanishing;
 
 /// The [`ReductionStrategy`] of the preset [`crate::Method::MtLrPar`]: the
-/// indexed engine of the module docs, with term-range sharding over
-/// [`crate::Budget::threads`]. Vanishing follows the run's
+/// indexed engine of the module docs. Vanishing follows the run's
 /// [`crate::VanishingRules`] alone: with every rule off, no product is
 /// cancelled.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,49 +56,21 @@ impl ReductionStrategy for ParallelReduction {
         &self,
         model: &AlgebraicModel,
         spec: &Polynomial,
-        modulus_bits: Option<u32>,
         ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
         let start = Instant::now();
-        let vanish =
-            Some(ClosureVanishing::new(model, ctx.rules)).filter(ClosureVanishing::enabled);
-        let engine = FusedReduction {
-            model,
-            vanish: vanish.as_ref(),
-            modulus_bits,
-            max_terms: ctx.budget.max_terms,
-            token: &ctx.token,
-            threads: ctx.budget.effective_threads(),
-        };
-        let (r, outcome, mut stats) = engine.reduce(spec);
-        stats.elapsed = start.elapsed();
-        (r, outcome, stats)
-    }
-}
-
-/// One run of the indexed engine: the model, the run's limits, and the
-/// vanishing index shared by every worker.
-struct FusedReduction<'a> {
-    model: &'a AlgebraicModel,
-    vanish: Option<&'a ClosureVanishing>,
-    modulus_bits: Option<u32>,
-    max_terms: usize,
-    token: &'a DeadlineToken,
-    threads: usize,
-}
-
-impl FusedReduction<'_> {
-    fn reduce(&self, spec: &Polynomial) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let model = self.model;
+        let max_terms = ctx.budget.max_terms;
         let mut stats = ReductionStats::default();
-        let mut scratch = self.vanish.map(ClosureVanishing::scratch);
+        let closure =
+            Some(ClosureVanishing::new(model, ctx.rules)).filter(ClosureVanishing::enabled);
+        let mut vanishing = closure.as_ref().map(RewriteVanishing::closure);
 
         // The vanishing rules are applied to the incoming spec once;
         // afterwards only newly created monomials can vanish (the property is
         // static per monomial), so surviving terms are never re-checked.
         let mut initial = spec.clone();
-        if let (Some(van), Some(s)) = (self.vanish, scratch.as_mut()) {
-            stats.cancelled_vanishing += initial.retain_terms(|m| !van.vanishes(m, s)) as u64;
+        if let Some(van) = vanishing.as_mut() {
+            stats.cancelled_vanishing += initial.retain_terms(|m| !van.sweep_vanishes(m)) as u64;
         }
 
         // The substitutable variables: everything with a model tail. Inputs
@@ -129,7 +87,7 @@ impl FusedReduction<'_> {
         // `mod 2^k` (multiples of `2^k` cancel at insert — the incremental
         // form of the old post-step drop sweep), occurrence counts and the
         // inverted index are maintained from here on by the store itself.
-        let mut r = IndexedPolynomial::from_polynomial(&initial, tracked, self.modulus_bits);
+        let mut r = IndexedPolynomial::from_polynomial(&initial, tracked, ctx.modulus_bits);
         drop(initial);
         stats.peak_terms = r.num_terms();
 
@@ -146,11 +104,12 @@ impl FusedReduction<'_> {
             }
         }
         let mut retired_cols = 0u64;
+        let mut since_poll = 0usize;
 
         let outcome = loop {
             // Only the ingested spec can exceed the budget here: every step
-            // keeps the store within it (see `expand`).
-            if r.num_terms() > self.max_terms {
+            // keeps the store within it (see `substitute_step`).
+            if r.num_terms() > max_terms {
                 break ReductionOutcome::LimitExceeded {
                     terms: r.num_terms(),
                 };
@@ -202,7 +161,17 @@ impl FusedReduction<'_> {
             // terms actually containing `v` are touched.
             let tail = model.tail(v).expect("candidate has a tail");
             let extracted = r.extract_terms_containing(v);
-            match self.expand(&mut r, &extracted, tail, v, scratch.as_mut()) {
+            let step = substitute_step(
+                &mut r,
+                &extracted,
+                v,
+                tail,
+                vanishing.as_mut(),
+                max_terms,
+                &ctx.token,
+                &mut since_poll,
+            );
+            match step {
                 Ok(cancelled) => stats.cancelled_vanishing += cancelled,
                 Err(stop) => {
                     if let ReductionOutcome::LimitExceeded { terms } = stop {
@@ -214,196 +183,34 @@ impl FusedReduction<'_> {
             stats.substitutions += 1;
 
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if let Some(stop) = ReductionOutcome::from_token(self.token) {
+            if let Some(stop) = ReductionOutcome::from_token(&ctx.token) {
                 break stop;
             }
         };
         stats.index_hits = r.index_hits();
         stats.final_terms = r.num_terms();
-        (r.into_polynomial(), outcome, stats)
-    }
-
-    /// Expands `extracted x tail` into `r`. A step of at least
-    /// [`SHARD_MIN_PRODUCTS`] products is split into one term range per
-    /// worker thread: each worker expands its range into a private exact
-    /// partial (with its own vanishing scratch), and the partials are folded
-    /// into `r` afterwards. Addition is exact and commutative, and the
-    /// canonical `mod 2^k` residue of an exact sum equals the residue of the
-    /// canonical sum, so the resulting term table (and hence the maintained
-    /// occurrence counts) is bit-identical for any thread count.
-    ///
-    /// The step's term bound is the store size after extraction plus every
-    /// product the step emits, and the step stops with [`Self::term_stop`]
-    /// once it passes `max_terms`. Each range checks its own products, so
-    /// neither the store nor any one partial outgrows the budget; shards
-    /// also add their counts to the step's total at every polling point, so
-    /// together they overshoot by at most one polling interval each; and
-    /// the fold checks the total once more. The bound counts products
-    /// rather than distinct terms, so whether a step stops does not depend
-    /// on the thread count.
-    ///
-    /// Returns the number of cancelled (vanishing) products, or the stop.
-    fn expand(
-        &self,
-        r: &mut IndexedPolynomial,
-        extracted: &[(Monomial, Int)],
-        tail: &Polynomial,
-        v: Var,
-        scratch: Option<&mut VanishScratch>,
-    ) -> Result<u64, ReductionOutcome> {
-        let bound = StepBound {
-            room: self.max_terms.saturating_sub(r.num_terms()),
-            emitted: AtomicUsize::new(0),
-        };
-        let shards = if extracted.len() * tail.num_terms() >= SHARD_MIN_PRODUCTS {
-            self.threads.min(extracted.len())
-        } else {
-            1
-        };
-        if shards <= 1 {
-            return self.expand_range(extracted, tail, v, scratch, &bound, |m, c| r.add_term(m, c));
-        }
-        let chunk = extracted.len().div_ceil(shards);
-        let partials: Vec<Result<(Polynomial, u64), ReductionOutcome>> =
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = extracted
-                    .chunks(chunk)
-                    .map(|range| {
-                        let bound = &bound;
-                        scope.spawn(move || {
-                            let mut scratch = self.vanish.map(ClosureVanishing::scratch);
-                            let mut local = Polynomial::zero();
-                            let cancelled = self.expand_range(
-                                range,
-                                tail,
-                                v,
-                                scratch.as_mut(),
-                                bound,
-                                |m, c| local.add_term(m, c),
-                            )?;
-                            Ok((local, cancelled))
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("shard worker"))
-                    .collect()
-            });
-        let partials = partials.into_iter().collect::<Result<Vec<_>, _>>()?;
-        if bound.emitted.into_inner() > bound.room {
-            return Err(self.term_stop());
-        }
-        let mut cancelled = 0;
-        for (local, local_cancelled) in partials {
-            cancelled += local_cancelled;
-            for (m, c) in local.iter() {
-                r.add_term(m.clone(), c.clone());
-            }
-        }
-        Ok(cancelled)
-    }
-
-    /// Expands one range of extracted terms against `tail` into `sink`,
-    /// checking the vanishing rules on each product before it is
-    /// materialized (when an extracted term's `rest` already vanishes on its
-    /// own, its whole tail expansion is skipped) and counting every emitted
-    /// product against the step's `bound`. Returns the number of cancelled
-    /// products, or the stop when the token expired or the bound passed the
-    /// budget mid-range.
-    fn expand_range(
-        &self,
-        range: &[(Monomial, Int)],
-        tail: &Polynomial,
-        v: Var,
-        mut scratch: Option<&mut VanishScratch>,
-        bound: &StepBound,
-        mut sink: impl FnMut(Monomial, Int),
-    ) -> Result<u64, ReductionOutcome> {
-        let mut cancelled = 0u64;
-        let mut since_poll = 0usize;
-        let mut emitted = 0usize;
-        let mut published = 0usize;
-        for (m, c) in range {
-            let rest = m.without(v);
-            if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
-                if van.set_rest(&rest, s) {
-                    cancelled += tail.num_terms() as u64;
-                    continue;
-                }
-            }
-            for (tm, tc) in tail.iter() {
-                since_poll += 1;
-                if since_poll >= CANCEL_POLL_INTERVAL {
-                    since_poll = 0;
-                    if let Some(stop) = ReductionOutcome::from_token(self.token) {
-                        return Err(stop);
-                    }
-                    if bound.publish(emitted - published) {
-                        return Err(self.term_stop());
-                    }
-                    published = emitted;
-                }
-                if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
-                    if van.rest_union_vanishes(tm, s) {
-                        cancelled += 1;
-                        continue;
-                    }
-                }
-                emitted += 1;
-                if emitted > bound.room {
-                    return Err(self.term_stop());
-                }
-                sink(tm.mul(&rest), tc * c);
-            }
-        }
-        bound.publish(emitted - published);
-        Ok(cancelled)
-    }
-
-    /// The stop of a step whose term bound passed `max_terms`. It reports the
-    /// bound's first value past the budget, so the reported terms do not
-    /// depend on where the shards noticed.
-    fn term_stop(&self) -> ReductionOutcome {
-        ReductionOutcome::LimitExceeded {
-            terms: self.max_terms.saturating_add(1),
-        }
-    }
-}
-
-/// The term bound of one substitution step, shared by its shards: the
-/// products the step may emit before the store could pass `max_terms`, and
-/// the products its ranges have published so far. The count publishes no
-/// other data, so `Relaxed` suffices; the fold reads it after the scoped
-/// workers joined.
-struct StepBound {
-    room: usize,
-    emitted: AtomicUsize,
-}
-
-impl StepBound {
-    /// Adds `products` to the step's total; `true` once the total passes
-    /// the room.
-    fn publish(&self, products: usize) -> bool {
-        self.emitted.fetch_add(products, Ordering::Relaxed) + products > self.room
+        let remainder = r.into_polynomial();
+        stats.elapsed = start.elapsed();
+        (remainder, outcome, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
+    use crate::budget::{Budget, DeadlineToken};
     use crate::reduction::GbReduction;
     use crate::spec::Spec;
     use crate::vanishing::VanishingRules;
     use gbmv_genmul::MultiplierSpec;
+    use gbmv_poly::{Int, Monomial};
 
-    fn context(budget: Budget) -> PhaseContext {
+    fn context(budget: Budget, modulus_bits: Option<u32>) -> PhaseContext {
         PhaseContext {
             budget,
             token: budget.token(),
             rules: VanishingRules::default(),
-            modulus_bits: None,
+            modulus_bits,
             spec_weights: None,
         }
     }
@@ -419,21 +226,18 @@ mod tests {
     fn matches_greedy_engine_remainder_mod_2k() {
         let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
         let k = modulus.unwrap();
-        let engine = context(Budget::default()).reduction_engine(modulus);
-        let (greedy, outcome, _) = engine.reduce(&model, &spec);
+        let ctx = context(Budget::default(), modulus);
+        let (greedy, outcome, _) = ctx.reduction_engine().reduce(&model, &spec);
         assert!(outcome.is_completed());
-        for threads in [1, 2, 8] {
-            let ctx = context(Budget::default().with_threads(threads));
-            let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, modulus, &ctx);
-            assert!(outcome.is_completed(), "{threads} threads: {outcome:?}");
-            assert_eq!(
-                r.mod_coeffs_pow2(k),
-                greedy.mod_coeffs_pow2(k),
-                "{threads} threads must reproduce the greedy remainder"
-            );
-            assert!(stats.substitutions > 0);
-            assert!(stats.index_hits > 0, "indexed extraction must be exercised");
-        }
+        let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert!(outcome.is_completed(), "{outcome:?}");
+        assert_eq!(
+            r.mod_coeffs_pow2(k),
+            greedy.mod_coeffs_pow2(k),
+            "the indexed engine must reproduce the greedy remainder"
+        );
+        assert!(stats.substitutions > 0);
+        assert!(stats.index_hits > 0, "indexed extraction must be exercised");
     }
 
     #[test]
@@ -443,8 +247,8 @@ mod tests {
         // vanishing skip) and ends with all counts back at zero — the loop
         // only terminates when no tracked variable is left.
         let (model, spec, modulus) = model_and_spec("SP-CT-BK", 4);
-        let ctx = context(Budget::default());
-        let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, modulus, &ctx);
+        let ctx = context(Budget::default(), modulus);
+        let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed());
         assert!(r.is_zero(), "correct multiplier must verify");
         assert!(stats.cancelled_vanishing > 0);
@@ -457,8 +261,8 @@ mod tests {
     #[test]
     fn term_limit_is_reported() {
         let (model, spec, modulus) = model_and_spec("SP-WT-KS", 6);
-        let ctx = context(Budget::default().with_max_terms(50));
-        let (_, outcome, stats) = ParallelReduction.reduce(&model, &spec, modulus, &ctx);
+        let ctx = context(Budget::default().with_max_terms(50), modulus);
+        let (_, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
         assert!(stats.peak_terms > 50);
     }
@@ -470,9 +274,9 @@ mod tests {
         token.cancel();
         let ctx = PhaseContext {
             token,
-            ..context(Budget::default())
+            ..context(Budget::default(), modulus)
         };
-        let (_, outcome, _) = ParallelReduction.reduce(&model, &spec, modulus, &ctx);
+        let (_, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert_eq!(outcome, ReductionOutcome::Cancelled);
     }
 
@@ -486,23 +290,16 @@ mod tests {
         assert_eq!(modulus, None);
         let (greedy, outcome, _) = GbReduction::new(10_000_000).reduce(&model, &spec);
         assert!(outcome.is_completed());
-        for threads in [1, 4] {
-            let ctx = context(Budget::default().with_threads(threads));
-            let (r, outcome, _) = ParallelReduction.reduce(&model, &spec, None, &ctx);
-            assert!(outcome.is_completed());
-            assert_eq!(r, greedy);
-        }
+        let ctx = context(Budget::default(), None);
+        let (r, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert!(outcome.is_completed());
+        assert_eq!(r, greedy);
     }
 
-    /// One step of 256 x 128 = 32 K products, which crosses the sharding
-    /// threshold, expanded at `threads` workers under `max_terms`. Returns
-    /// the resulting term table and the step's result.
-    fn sharded_step(
-        threads: usize,
-        max_terms: usize,
-    ) -> (Polynomial, Result<u64, ReductionOutcome>) {
-        let (model, _, _) = model_and_spec("SP-WT-CL", 4);
-        let token = DeadlineToken::new();
+    /// The terms of one substitution step of 256 x 128 = 32 K products (the
+    /// extracted terms, all containing `v`, and the tail of `v`), over 17
+    /// variables, with distinct product monomials.
+    fn large_step() -> (Vec<(Monomial, Int)>, Polynomial, Var) {
         let v = Var(0);
         let subset = |bits: usize, base: u32| {
             Monomial::from_vars(
@@ -511,57 +308,54 @@ mod tests {
                     .map(|b| Var(base + b)),
             )
         };
-        let extracted: Vec<(Monomial, Int)> = (0..256)
+        let extracted = (0..256)
             .map(|i| (subset(i, 1).mul(&Monomial::var(v)), Int::from(i as i64 + 1)))
             .collect();
         let tail =
             Polynomial::from_terms((0..128).map(|i| (subset(i, 9), Int::from(3 - i as i64))));
-        assert!(extracted.len() * tail.num_terms() >= SHARD_MIN_PRODUCTS);
-        let engine = FusedReduction {
-            model: &model,
-            vanish: None,
-            modulus_bits: Some(8),
-            max_terms,
-            token: &token,
-            threads,
-        };
+        (extracted, tail, v)
+    }
+
+    /// Runs [`large_step`] through the shared product loop into an empty
+    /// store kept mod `2^8`, under `max_terms`. Returns the resulting term
+    /// table and the step's result.
+    fn run_large_step(max_terms: usize) -> (Polynomial, Result<u64, ReductionOutcome>) {
+        let (extracted, tail, v) = large_step();
         let mut r = IndexedPolynomial::new(vec![false; 17], Some(8));
-        let result = engine.expand(&mut r, &extracted, &tail, v, None);
+        let token = DeadlineToken::new();
+        let result = substitute_step(
+            &mut r, &extracted, v, &tail, None, max_terms, &token, &mut 0,
+        );
         (r.into_polynomial(), result)
     }
 
+    /// The step's term table equals the plain polynomial substitution of the
+    /// same terms, reduced mod `2^8`.
     #[test]
     fn sharded_expansion_matches_serial() {
-        // Every thread count must leave the same canonical term table
-        // behind.
-        let serial = sharded_step(1, usize::MAX);
-        assert!(serial.0.num_terms() > 0);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                sharded_step(threads, usize::MAX),
-                serial,
-                "{threads} threads"
-            );
-        }
+        let (table, result) = run_large_step(usize::MAX);
+        assert_eq!(result, Ok(0));
+        assert!(table.num_terms() > 0);
+        let (extracted, tail, v) = large_step();
+        let want = Polynomial::from_terms(extracted)
+            .substitute(v, &tail)
+            .mod_coeffs_pow2(8);
+        assert_eq!(table, want);
     }
 
+    /// The step stops as soon as its products pass the term bound, both long
+    /// before its end (1 000 terms) and in its second half (20 000 terms).
     #[test]
     fn sharded_step_stops_at_the_term_bound() {
-        // The 32 K-product step passes a 1 000-term bound long before it
-        // ends, in one range and in every shard split. A 20 000-term bound
-        // holds for each shard of two or more on its own, so there the fold
-        // must catch the step's total.
         for max_terms in [1_000, 20_000] {
-            for threads in [1, 2, 3, 8] {
-                let (_, result) = sharded_step(threads, max_terms);
-                assert_eq!(
-                    result,
-                    Err(ReductionOutcome::LimitExceeded {
-                        terms: max_terms + 1
-                    }),
-                    "{threads} threads, {max_terms} terms"
-                );
-            }
+            let (_, result) = run_large_step(max_terms);
+            assert_eq!(
+                result,
+                Err(ReductionOutcome::LimitExceeded {
+                    terms: max_terms + 1
+                }),
+                "{max_terms} terms"
+            );
         }
     }
 }

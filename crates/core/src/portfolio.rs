@@ -247,7 +247,7 @@ impl Portfolio {
                     budget: self.budget,
                     token,
                     rules: self.rules,
-                    modulus_bits,
+                    modulus_bits: None,
                     spec_weights: None,
                 };
                 let cex_ctx = CexContext {

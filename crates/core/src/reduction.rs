@@ -399,7 +399,7 @@ mod tests {
             let var = |name: &str| Var(nl.find_net(name).unwrap().0);
             let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
             let (r1, o1, s1) = GbReduction::default().reduce(&model, &spec);
-            let (r2, o2, s2) = crate::ParallelReduction.reduce(&model, &spec, None, &ctx);
+            let (r2, o2, s2) = crate::ParallelReduction.reduce(&model, &spec, &ctx);
             assert!(o1.is_completed() && o2.is_completed());
             assert_eq!(r1, r2, "bug = {bug}");
             assert_eq!(s1.substitutions, s2.substitutions);

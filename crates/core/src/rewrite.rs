@@ -22,10 +22,11 @@
 
 use std::time::{Duration, Instant};
 
-use gbmv_poly::{FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
+use gbmv_poly::{FastSet, IndexedPolynomial, Int, Monomial, Polynomial, Var};
 
 use crate::budget::DeadlineToken;
 use crate::model::{AlgebraicModel, GateFunction};
+use crate::reduction::ReductionOutcome;
 use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
 
 /// The keep-set selection schemes.
@@ -296,14 +297,15 @@ pub fn logic_reduction_rewriting(
     stats
 }
 
-/// How often the indexed rewriter polls the cancellation token inside a
-/// single substitution step, in expanded products — the same cadence as the
-/// indexed reduction engine.
+/// How often the shared product loop ([`substitute_step`]) polls the
+/// cancellation token, in expanded products, so even a single multi-second
+/// substitution step reacts to cancellation.
 const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
 
-/// The vanishing predicate [`gb_rewrite_indexed`] applies during each
-/// substitution, selected per preset by [`VanishingRules::closure`] (see
-/// [`indexed_xor_rewriting`]).
+/// The vanishing predicate the indexed loops apply during each substitution.
+/// [`gb_rewrite_indexed`] takes either variant, selected per preset by
+/// [`VanishingRules::closure`] (see [`indexed_xor_rewriting`]); the indexed
+/// reduction engine ([`crate::ParallelReduction`]) uses the closure.
 pub enum RewriteVanishing<'a> {
     /// The scan engine's static per-monomial pattern test. In this mode the
     /// rewriter's result is term-for-term identical to [`gb_rewrite`]'s —
@@ -329,8 +331,9 @@ impl<'a> RewriteVanishing<'a> {
         }
     }
 
-    /// Whether a pre-existing term of a freshly touched tail vanishes.
-    fn sweep_vanishes(&mut self, m: &Monomial) -> bool {
+    /// Whether a pre-existing term (of a freshly touched tail, or of the
+    /// incoming specification) vanishes.
+    pub(crate) fn sweep_vanishes(&mut self, m: &Monomial) -> bool {
         match self {
             Self::Tracker(t) => t.monomial_vanishes(m),
             Self::Closure(c, s) => c.vanishes(m, s),
@@ -372,6 +375,75 @@ impl<'a> RewriteVanishing<'a> {
     }
 }
 
+/// The product loop of one indexed substitution step, shared by Step 2
+/// ([`gb_rewrite_indexed`]) and Step 3 ([`crate::ParallelReduction`]):
+/// adds `(m / v) · tail` to `store` for every `(m, c)` of `extracted`, the
+/// terms just drained from `store` because they contain `v`.
+///
+/// * With `vanishing`, a whole extracted term is skipped when its residual
+///   monomial `m / v` vanishes on its own, and each product is judged before
+///   it is built; a vanishing product is never inserted.
+/// * The token is polled every [`CANCEL_POLL_INTERVAL`] products, counted
+///   across steps in `since_poll`; an expired token stops the step with
+///   [`ReductionOutcome::from_token`]'s outcome.
+/// * The step's term bound is the store size after extraction plus every
+///   product emitted so far. It bounds the store's size at any point of the
+///   step, and the step stops with [`ReductionOutcome::LimitExceeded`],
+///   reporting the bound, as soon as it passes `max_terms`.
+///
+/// Returns the number of products cancelled as vanishing, or the stop.
+#[allow(clippy::too_many_arguments)] // the step's data plus each caller's limits
+pub(crate) fn substitute_step(
+    store: &mut IndexedPolynomial,
+    extracted: &[(Monomial, Int)],
+    v: Var,
+    tail: &Polynomial,
+    mut vanishing: Option<&mut RewriteVanishing>,
+    max_terms: usize,
+    token: &DeadlineToken,
+    since_poll: &mut usize,
+) -> Result<u64, ReductionOutcome> {
+    let base = store.num_terms();
+    let mut emitted = 0usize;
+    let mut cancelled = 0u64;
+    for (m, c) in extracted {
+        let rest = m.without(v);
+        if let Some(van) = vanishing.as_deref_mut() {
+            if van.begin_rest(&rest) {
+                cancelled += tail.num_terms() as u64;
+                continue;
+            }
+        }
+        for (tm, tc) in tail.iter() {
+            *since_poll += 1;
+            if *since_poll >= CANCEL_POLL_INTERVAL {
+                *since_poll = 0;
+                if let Some(stop) = ReductionOutcome::from_token(token) {
+                    return Err(stop);
+                }
+            }
+            let pm = match vanishing.as_deref_mut() {
+                Some(van) => match van.product(tm, &rest) {
+                    Some(pm) => pm,
+                    None => {
+                        cancelled += 1;
+                        continue;
+                    }
+                },
+                None => tm.mul(&rest),
+            };
+            emitted += 1;
+            if base + emitted > max_terms {
+                return Err(ReductionOutcome::LimitExceeded {
+                    terms: base + emitted,
+                });
+            }
+            store.add_term(pm, tc * c);
+        }
+    }
+    Ok(cancelled)
+}
+
 /// Gröbner basis rewriting on the incrementally indexed term store —
 /// Algorithm 2 with the same candidate rule and stopping conditions as
 /// [`gb_rewrite`], but with each tail held in an [`IndexedPolynomial`]:
@@ -396,12 +468,12 @@ impl<'a> RewriteVanishing<'a> {
 ///   after extraction plus the products the step has emitted — passes
 ///   `config.max_terms`, so no tail outgrows the budget mid-step.
 ///
-/// The tracked set of each tail's store is its candidate set. On the
-/// topologically ordered pass of a well-formed model every replacement tail
-/// is already fully rewritten, so the candidate set never grows mid-tail —
-/// but the engine still routes replacement-introduced internal nets through
-/// [`IndexedPolynomial::track_var`], so partially rewritten models (for
-/// example after an earlier pass stopped at a limit) stay correct.
+/// Each step's products come from the loop the indexed reduction shares
+/// (`substitute_step`). The tracked set of each tail's store is its
+/// candidate set, fixed when the store is built: the pass is topologically
+/// ordered, so every replacement tail was fully rewritten earlier in the
+/// same pass (a pass that stops at a limit ends the function), and a
+/// replacement never brings in a new candidate.
 ///
 /// The rewritten tails are the canonical post-rewrite form: coefficients in
 /// `[0, 2^k)` when a modulus is given (in `[0, 2^(k - W(v)))` with
@@ -455,14 +527,16 @@ pub fn gb_rewrite_indexed(
             break 'pass;
         }
         let Some(tail) = model.tail(v) else { continue };
+        let is_candidate =
+            |u: Var| !keep.contains(&u) && !model.is_input(u) && model.tail(u).is_some();
         // Candidate substitution fronts: the non-keep internal nets of the
         // original tail. This matches the scan engine's repeated search —
         // replacements only ever mention keep-set variables and inputs (see
         // above), so the front set shrinks monotonically.
-        let mut cand: Vec<Var> = tail
+        let cand: Vec<Var> = tail
             .vars()
             .into_iter()
-            .filter(|&u| !keep.contains(&u) && !model.is_input(u) && model.tail(u).is_some())
+            .filter(|&u| is_candidate(u))
             .collect();
         if cand.is_empty() {
             // Nothing to substitute: the scan engine re-stores the identical
@@ -505,6 +579,11 @@ pub fn gb_rewrite_indexed(
             let Some((_, u)) = best else { break };
             let u = Var(u);
             let replacement = model.tail(u).expect("candidate has a tail");
+            debug_assert!(
+                replacement.vars().into_iter().all(|w| !is_candidate(w)),
+                "the replacement tail of {} is not fully rewritten",
+                model.name(u)
+            );
             let extracted = store.extract_terms_containing(u);
             stats.substitutions += 1;
             if !swept {
@@ -520,67 +599,25 @@ pub fn gb_rewrite_indexed(
                     stats.cancelled_vanishing += removed as u64;
                 }
             }
-            // Tracked-set growth for replacement-introduced internal nets
-            // (a no-op on fully rewritten replacements, see above).
-            for w in replacement.vars() {
-                if !keep.contains(&w)
-                    && !model.is_input(w)
-                    && model.tail(w).is_some()
-                    && !cand.contains(&w)
-                {
-                    store.track_var(w);
-                    cand.push(w);
-                }
-            }
-            // The step's term bound: the tail's size after extraction plus
-            // every product the step emits. It bounds the store's size at
-            // any point of the step, so stopping when it passes the budget
-            // keeps the tail within `max_terms`.
-            let base = store.num_terms();
-            let mut emitted = 0usize;
-            let mut stopped = false;
-            'terms: for (m, c) in &extracted {
-                let rest = m.without(u);
-                // Monotonicity of the predicates: if the residual monomial
-                // already vanishes, so does every product built on it —
-                // skip the whole replacement tail.
-                if let Some(van) = vanishing.as_mut() {
-                    if van.begin_rest(&rest) {
-                        stats.cancelled_vanishing += replacement.num_terms() as u64;
-                        continue;
+            let step = substitute_step(
+                &mut store,
+                &extracted,
+                u,
+                replacement,
+                vanishing.as_mut(),
+                config.max_terms,
+                &config.cancel,
+                &mut since_poll,
+            );
+            match step {
+                Ok(cancelled) => stats.cancelled_vanishing += cancelled,
+                Err(stop) => {
+                    if let ReductionOutcome::LimitExceeded { terms } = stop {
+                        stats.peak_terms = stats.peak_terms.max(terms);
                     }
+                    stats.limit_exceeded = true;
+                    break;
                 }
-                for (tm, tc) in replacement.iter() {
-                    since_poll += 1;
-                    if since_poll >= CANCEL_POLL_INTERVAL {
-                        since_poll = 0;
-                        if config.cancel.expired() {
-                            stopped = true;
-                            break 'terms;
-                        }
-                    }
-                    let pm = match vanishing.as_mut() {
-                        Some(van) => match van.product(tm, &rest) {
-                            Some(pm) => pm,
-                            None => {
-                                stats.cancelled_vanishing += 1;
-                                continue;
-                            }
-                        },
-                        None => tm.mul(&rest),
-                    };
-                    emitted += 1;
-                    if base + emitted > config.max_terms {
-                        stats.peak_terms = stats.peak_terms.max(base + emitted);
-                        stopped = true;
-                        break 'terms;
-                    }
-                    store.add_term(pm, tc * c);
-                }
-            }
-            if stopped {
-                stats.limit_exceeded = true;
-                break;
             }
             stats.peak_terms = stats.peak_terms.max(store.num_terms());
         }

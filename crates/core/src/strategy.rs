@@ -34,10 +34,11 @@ pub struct PhaseContext {
     /// The structural vanishing rules of the run.
     pub rules: VanishingRules,
     /// The modulus (in bits) of the run's zero test, when it has one (for a
-    /// multiplier, `Some(2 * width)`). Strategies that store canonical
-    /// mod-`2^k` coefficients — the indexed rewriter — read it from here;
-    /// the session pipeline installs it from the instantiated spec, so
-    /// callers constructing a context by hand can leave it `None`.
+    /// multiplier, `Some(2 * width)`). Every strategy reads it from here:
+    /// the indexed rewriter and reduction store canonical mod-`2^k`
+    /// coefficients, the scan reduction drops multiples of `2^k`. The
+    /// session pipeline installs it from the instantiated spec; a context
+    /// built by hand for a direct `reduce` call sets it itself.
     pub modulus_bits: Option<u32>,
     /// The spec weight `W(v)` of every variable, indexed by `Var::index`
     /// (see [`crate::rewrite::spec_weights`]), when the run has a modulus.
@@ -74,11 +75,11 @@ impl PhaseContext {
     }
 
     /// A scan-based reduction engine honouring this context (the token is
-    /// its clock); `modulus_bits` enables intermediate `mod 2^k` coefficient
-    /// dropping.
-    pub fn reduction_engine(&self, modulus_bits: Option<u32>) -> GbReduction {
+    /// its clock); [`Self::modulus_bits`] enables intermediate `mod 2^k`
+    /// coefficient dropping.
+    pub fn reduction_engine(&self) -> GbReduction {
         let mut engine = GbReduction::new(self.budget.max_terms).with_token(self.token.clone());
-        if let Some(k) = modulus_bits {
+        if let Some(k) = self.modulus_bits {
             engine = engine.with_modulus(k);
         }
         engine
@@ -106,13 +107,13 @@ pub trait ReductionStrategy: Send + Sync {
     fn name(&self) -> &str;
 
     /// Reduces `spec` against `model`, returning the remainder, why the
-    /// reduction ended, and its statistics. `modulus_bits` is the modulus of
-    /// the zero test (for intermediate coefficient dropping).
+    /// reduction ended, and its statistics. [`PhaseContext::modulus_bits`]
+    /// is the modulus of the zero test (for intermediate coefficient
+    /// dropping).
     fn reduce(
         &self,
         model: &AlgebraicModel,
         spec: &Polynomial,
-        modulus_bits: Option<u32>,
         ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats);
 }
@@ -225,10 +226,9 @@ impl ReductionStrategy for GreedyReduction {
         &self,
         model: &AlgebraicModel,
         spec: &Polynomial,
-        modulus_bits: Option<u32>,
         ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let engine = ctx.reduction_engine(modulus_bits);
+        let engine = ctx.reduction_engine();
         if self.vanishing {
             // The gate-function index survives rewriting (only tails change),
             // so the tracker can be built from the rewritten model.
@@ -257,11 +257,11 @@ pub enum Method {
     /// MT-LR with both phases on the incremental indexed term store: Step 2
     /// through [`IndexedLogicReductionRewrite`] (in-place extraction,
     /// closure vanishing during substitution, canonical mod-`2^k`
-    /// coefficients) and Step 3/4 through [`crate::ParallelReduction`],
-    /// whose large substitution steps shard over term ranges across
-    /// [`crate::Budget::threads`] workers. Same remainders, verdicts and
-    /// counterexamples as MT-LR at any thread count, different per-step
-    /// cost.
+    /// coefficients) and Step 3/4 through [`crate::ParallelReduction`]. Both
+    /// phases run on the calling thread, through one shared substitution
+    /// loop. Same remainders, verdicts and counterexamples as MT-LR,
+    /// different per-step cost. Bench records and reports key on the name
+    /// `MT-LR-PAR`, so it stays.
     MtLrPar,
 }
 

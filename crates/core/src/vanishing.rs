@@ -212,8 +212,8 @@ const CLOSURE_FACT_CAP: usize = 48;
 /// gated XOR rules fire, reproducing the fixed-pattern behaviour for the
 /// ablation study.
 ///
-/// Queries write epoch stamps into a caller-owned [`VanishScratch`], so one
-/// immutable index is shared across worker threads. The engine's inner loop
+/// Queries write epoch stamps into a caller-owned [`VanishScratch`], so the
+/// index itself stays immutable. The engines' inner loop
 /// checks products `tm · rest` for a fixed `rest`; [`ClosureVanishing::set_rest`]
 /// marks the rest's consequences once and
 /// [`ClosureVanishing::rest_union_vanishes`] layers each tail monomial on
@@ -238,8 +238,8 @@ pub struct ClosureVanishing {
     use_xnor: bool,
 }
 
-/// Per-worker scratch space for [`ClosureVanishing`] queries: epoch-stamped
-/// membership arrays, so clearing between queries is O(1).
+/// Scratch space for [`ClosureVanishing`] queries, one per query loop:
+/// epoch-stamped membership arrays, so clearing between queries is O(1).
 #[derive(Debug, Clone)]
 pub struct VanishScratch {
     /// Epoch at which each variable was last forced to 1.
@@ -317,7 +317,7 @@ impl ClosureVanishing {
         self.use_conflict || self.use_xor11 || self.use_xor00 || self.use_xnor
     }
 
-    /// Allocates a scratch sized for this index; one per worker thread.
+    /// Allocates a scratch sized for this index; one per query loop.
     pub fn scratch(&self) -> VanishScratch {
         VanishScratch {
             stamp1: vec![0; self.var_count],

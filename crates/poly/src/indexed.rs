@@ -229,89 +229,28 @@ impl IndexedPolynomial {
     /// variables have an index; for untracked variables this returns an
     /// empty vector (such terms are never extracted by the engine).
     pub fn extract_terms_containing(&mut self, v: Var) -> Vec<(Monomial, Int)> {
-        self.extract_terms_containing_any(std::slice::from_ref(&v))
-    }
-
-    /// Drains every term containing at least one of `vars` through the
-    /// inverted index, removing the terms from the store and returning them
-    /// (each term exactly once, even when it contains several of the
-    /// variables). The rewrite engine uses this to pull all terms touched by
-    /// a substitution front in one pass; untracked variables contribute
-    /// nothing, exactly as in
-    /// [`extract_terms_containing`](Self::extract_terms_containing).
-    pub fn extract_terms_containing_any(&mut self, vars: &[Var]) -> Vec<(Monomial, Int)> {
-        let mut out = Vec::new();
-        for &v in vars {
-            let Some(list) = self.var_index.get_mut(v.index()) else {
+        let Some(list) = self.var_index.get_mut(v.index()) else {
+            return Vec::new();
+        };
+        let handles = std::mem::take(list);
+        let mut out = Vec::with_capacity(handles.len());
+        for id in handles {
+            // Stale handles: the slot died, or was reused by a monomial that
+            // does not contain `v`. (A reused slot whose monomial *does*
+            // contain `v` is a legitimate drain target — the reuse also
+            // pushed a fresh handle, which will later be skipped as stale.)
+            let live_with_v = matches!(
+                self.slots.get(id as usize).and_then(Option::as_ref),
+                Some((m, _)) if m.contains(v)
+            );
+            if !live_with_v {
                 continue;
-            };
-            let handles = std::mem::take(list);
-            out.reserve(handles.len());
-            for id in handles {
-                // Stale handles: the slot died, or was reused by a monomial
-                // that does not contain `v`. (A reused slot whose monomial
-                // *does* contain `v` is a legitimate drain target — the reuse
-                // also pushed a fresh handle, which will later be skipped as
-                // stale.) A term containing two of `vars` is drained under
-                // the first and skipped as stale under the second.
-                let live_with_v = matches!(
-                    self.slots.get(id as usize).and_then(Option::as_ref),
-                    Some((m, _)) if m.contains(v)
-                );
-                if !live_with_v {
-                    continue;
-                }
-                let (m, c) = self.remove_slot(id);
-                self.index_hits += 1;
-                out.push((m, c));
             }
+            let (m, c) = self.remove_slot(id);
+            self.index_hits += 1;
+            out.push((m, c));
         }
         out
-    }
-
-    /// Grows the tracked set: marks `v` as substitutable, indexes every
-    /// live term containing it, and promotes retired terms containing it
-    /// back to the live (indexed) side. The rewriting phase needs this
-    /// because — unlike reduction, where the variable set only shrinks —
-    /// internal nets can *appear* as substitution fronts after the store
-    /// was built. Idempotent; `O(live + retired)` when it actually grows.
-    pub fn track_var(&mut self, v: Var) {
-        let i = v.index();
-        if i >= self.tracked.len() {
-            self.tracked.resize(i + 1, false);
-            self.counts.resize(i + 1, 0);
-            self.var_index.resize_with(i + 1, Vec::new);
-        }
-        if self.tracked[i] {
-            return;
-        }
-        self.tracked[i] = true;
-        // Index the live terms that already contain `v`.
-        for id in 0..self.slots.len() {
-            let hit = matches!(&self.slots[id], Some((m, _)) if m.contains(v));
-            if hit {
-                self.counts[i] += 1;
-                self.var_index[i].push(id as u32);
-            }
-        }
-        // Promote retired terms containing `v`: they are reachable by a
-        // substitution again. (Live and retired term sets are disjoint, so
-        // the lookup probe always lands on an absent bucket.)
-        let mut promoted = Vec::new();
-        self.inert.retain(|m, c| {
-            if m.contains(v) {
-                promoted.push((m.clone(), c.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (m, c) in promoted {
-            match self.find_bucket(&m) {
-                FindResult::Absent(bucket) => self.insert_live(bucket, m, c),
-                FindResult::Found(_) => unreachable!("live and retired terms are disjoint"),
-            }
-        }
     }
 
     /// Removes every term (live or retired) whose monomial fails `keep`,
@@ -654,50 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn track_var_promotes_retired_terms_and_indexes_live_ones() {
-        let mut ix = IndexedPolynomial::new(tracked(2, &[0]), None);
-        ix.add_term(mono(&[1, 2]), Int::from(4)); // no tracked var → retired
-        ix.add_term(mono(&[0, 2]), Int::from(2)); // live under var 0
-        assert_eq!(ix.retired_terms(), 1);
-        // Var 2 lies beyond the original tracked-array length: the arrays
-        // must grow, the live term must be indexed, the retired one promoted.
-        ix.track_var(Var(2));
-        assert_eq!(ix.retired_terms(), 0);
-        assert_eq!(ix.occurrences(Var(2)), 2);
-        ix.assert_consistent();
-        ix.track_var(Var(2)); // idempotent
-        assert_eq!(ix.occurrences(Var(2)), 2);
-        ix.assert_consistent();
-        let mut got = ix.extract_terms_containing(Var(2));
-        got.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut want = vec![(mono(&[0, 2]), Int::from(2)), (mono(&[1, 2]), Int::from(4))];
-        want.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(got, want);
-        assert!(ix.is_zero());
-    }
-
-    #[test]
     fn untracked_variable_extracts_nothing() {
         let mut ix = IndexedPolynomial::new(tracked(2, &[0]), None);
         ix.add_term(mono(&[0, 1]), Int::from(1));
         assert!(ix.extract_terms_containing(Var(1)).is_empty());
-        assert!(ix
-            .extract_terms_containing_any(&[Var(1), Var(7)])
-            .is_empty());
-        assert_eq!(ix.num_terms(), 1);
-        ix.assert_consistent();
-    }
-
-    #[test]
-    fn multi_var_extraction_returns_each_term_once() {
-        let mut ix = IndexedPolynomial::new(tracked(3, &[0, 1]), None);
-        ix.add_term(mono(&[0, 1]), Int::from(1)); // contains both fronts
-        ix.add_term(mono(&[0]), Int::from(2));
-        ix.add_term(mono(&[1]), Int::from(3));
-        ix.add_term(mono(&[2]), Int::from(4)); // retired, untouched
-        let got = ix.extract_terms_containing_any(&[Var(0), Var(1)]);
-        assert_eq!(got.len(), 3, "the shared term must be drained exactly once");
-        assert_eq!(ix.index_hits(), 3);
+        assert!(ix.extract_terms_containing(Var(7)).is_empty());
         assert_eq!(ix.num_terms(), 1);
         ix.assert_consistent();
     }
@@ -717,11 +617,11 @@ mod tests {
     }
 
     proptest! {
-        /// The rewrite-oriented ops — tracked-set growth ([`IndexedPolynomial::track_var`]),
-        /// multi-variable extraction, and the `retain_terms` sweep — stay
-        /// consistent with a from-scratch rebuild (and with a naive scan of
-        /// a plain `Polynomial`) under arbitrary interleavings, with and
-        /// without a coefficient modulus.
+        /// The rewrite-oriented ops — single-variable extraction and the
+        /// `retain_terms` sweep — stay consistent with a from-scratch
+        /// rebuild (and with a naive scan of a plain `Polynomial`) under
+        /// arbitrary interleavings with `add_term`, with and without a
+        /// coefficient modulus.
         #[test]
         fn rewrite_ops_match_scratch_rebuild_under_interleavings(
             ops in proptest::collection::vec(
@@ -731,10 +631,8 @@ mod tests {
             modulus_k in 0u32..4,
         ) {
             for modulus in [None, Some(modulus_k + 1)] {
-                // Variables 0 and 1 start tracked; 2..6 appear later through
-                // `track_var`, exercising array growth and inert promotion.
-                let mut ix = IndexedPolynomial::new(tracked(2, &[0, 1]), modulus);
-                let mut now_tracked: Vec<u32> = vec![0, 1];
+                // Variables 0 to 2 are tracked; 3 to 5 only ever retire.
+                let mut ix = IndexedPolynomial::new(tracked(6, &[0, 1, 2]), modulus);
                 let mut reference = Polynomial::zero();
                 for (sel, vars, c) in &ops {
                     match sel {
@@ -743,32 +641,21 @@ mod tests {
                             ix.add_term(m.clone(), Int::from(*c));
                             reference.add_term(m, Int::from(*c));
                         }
-                        6 => {
-                            let v = vars.first().copied().unwrap_or(2) % 6;
-                            ix.track_var(Var(v));
-                            if !now_tracked.contains(&v) {
-                                now_tracked.push(v);
-                            }
-                        }
-                        7 => {
+                        6 | 7 => {
                             // Vanishing-style sweep: drop every monomial
                             // containing a chosen variable, on both sides.
-                            let r = Var(vars.first().copied().unwrap_or(0) % 6);
+                            let r = Var(vars.first().copied().unwrap_or(*sel) % 6);
                             ix.retain_terms(|m| !m.contains(r));
                             reference.retain_terms(|m| !m.contains(r));
                         }
                         _ => {
-                            // Multi-variable extraction over the currently
-                            // tracked subset, against a naive per-var scan.
-                            let sel_vars: Vec<Var> = vars
-                                .iter()
-                                .map(|&v| Var(v % 6))
-                                .filter(|v| now_tracked.contains(&v.0))
-                                .collect();
-                            let mut got = ix.extract_terms_containing_any(&sel_vars);
-                            let mut want: Vec<(Monomial, Int)> = sel_vars
-                                .iter()
-                                .flat_map(|&v| reference.extract_terms_containing(v))
+                            // Extraction of one tracked variable, against a
+                            // naive scan.
+                            let v = Var(vars.first().copied().unwrap_or(*sel) % 3);
+                            let mut got = ix.extract_terms_containing(v);
+                            let mut want: Vec<(Monomial, Int)> = reference
+                                .extract_terms_containing(v)
+                                .into_iter()
                                 .filter(|(_, c)| match modulus {
                                     Some(k) => !c.is_multiple_of_pow2(k),
                                     None => true,

@@ -5,8 +5,8 @@
 //! architecture space the paper's benchmark set is drawn from.
 //!
 //! Each instance runs under a tight term-only [`Budget`] — no wall clock, so
-//! the sweep's verdict column is deterministic on any machine and at one
-//! thread. Architectures whose reduction still blows up at this width (e.g.
+//! the sweep's verdict column is deterministic on any machine.
+//! Architectures whose reduction still blows up at this width (e.g.
 //! the array accumulator feeding a Kogge-Stone final adder) report `TO`,
 //! mirroring the paper's tables. A mismatch, by contrast, would be a real
 //! bug — the sweep asserts none occur.
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = Budget {
         max_terms: 1_000_000,
         deadline: None,
-        threads: 1,
+        ..Budget::default()
     };
     println!("MT-LR-PAR verification of all architectures at width {width} (time in ms):");
     println!(

@@ -18,10 +18,9 @@
 //! * [`core`] — the membership-testing verifier: the [`core::Session`] API
 //!   with typed [`core::Spec`]s, pluggable rewrite/reduction strategies
 //!   ([`core::Method`] presets MT, MT-FO, MT-XOR, MT-LR, and the indexed
-//!   engine MT-LR-PAR, which shards large substitution steps over worker
-//!   threads), budgets with cooperative cancellation and a worker-thread
-//!   knob, and the [`core::Portfolio`] driver that races several strategies
-//!   (including the SAT baseline) against one extracted model.
+//!   engine MT-LR-PAR), budgets with cooperative cancellation, and the
+//!   [`core::Portfolio`] driver that races several strategies (including
+//!   the SAT baseline) against one extracted model.
 //!
 //! The most common entry points are re-exported at the crate root.
 //!

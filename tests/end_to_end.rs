@@ -62,11 +62,11 @@ fn mt_fo_blows_up_where_mt_lr_succeeds() {
     // above 10k terms while MT-LR stays near 100, so a 2k budget separates
     // them with ample margin on both sides. No deadline: the verdict depends
     // only on the term budget, so the contrast is deterministic on any
-    // machine and at any thread count.
+    // machine.
     let tight = Budget {
         max_terms: 2_000,
         deadline: None,
-        threads: 0,
+        ..Budget::default()
     };
     let complex = MultiplierSpec::parse("BP-WT-CL", width)
         .expect("architecture")

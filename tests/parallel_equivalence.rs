@@ -6,16 +6,16 @@
 //! architectures at widths 5–6, and fault-injected mutants — the circuits on
 //! which `tests/rewrite_equivalence.rs` pins the Step-2 rewrite byte for byte
 //! against the scan rewriter. Per circuit the scan-based MT-LR pipeline runs
-//! once, and `MT-LR-PAR`, in its default closure mode, runs at 1, 2 and 8
-//! threads and must reproduce the oracle's verdict, canonical remainder term
-//! count and grounded counterexample bit for bit.
+//! once, and `MT-LR-PAR`, in its default closure mode, runs once and must
+//! reproduce the oracle's verdict, canonical remainder term count and
+//! grounded counterexample bit for bit.
 //!
 //! The comparison is exact: the pipeline canonicalizes remainders modulo
 //! `2^(2n)`, and the fully reduced remainder is the unique multilinear normal
 //! form of the specification over the primary inputs. So the engines ground
 //! the *same* counterexample regardless of substitution order — the oracle's
-//! greedy order against the indexed engine's column-weighted one —
-//! term-storage layout or thread count. The closure mode cancels strictly
+//! greedy order against the indexed engine's column-weighted one — or
+//! term-storage layout. The closure mode cancels strictly
 //! more monomials than the tracker and so cannot be byte-identical after
 //! rewriting, but every extra cancellation is a member of the circuit ideal,
 //! so completed verdicts and counterexamples are exactly preserved.
@@ -30,8 +30,6 @@ use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
 use gbmv::poly::{Int, Monomial, Polynomial};
 use gbmv::{Budget, DeadlineToken, Method, Outcome, Report, Session, Spec};
-
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 fn run(netlist: &Netlist, width: usize, method: Method, budget: Budget) -> Report {
     Session::extract(netlist)
@@ -91,25 +89,12 @@ fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Rep
     }
 }
 
-/// The oracle pass over one circuit: the MT-LR reference (computed once),
-/// and `MT-LR-PAR` at every thread count of the sweep against it. Returns
-/// the reference.
+/// The oracle pass over one circuit: the MT-LR reference, and `MT-LR-PAR`
+/// against it. Returns the reference.
 fn check_against_oracle(netlist: &Netlist, width: usize, budget: Budget) -> Report {
     let reference = run(netlist, width, Method::MtLr, budget);
-    for threads in THREAD_SWEEP {
-        let par = run(
-            netlist,
-            width,
-            Method::MtLrPar,
-            budget.with_threads(threads),
-        );
-        assert_outcome_matches(
-            netlist,
-            &reference,
-            &par,
-            &format!("MT-LR-PAR, {threads} threads"),
-        );
-    }
+    let par = run(netlist, width, Method::MtLrPar, budget);
+    assert_outcome_matches(netlist, &reference, &par, "MT-LR-PAR");
     reference
 }
 
@@ -138,7 +123,7 @@ fn paper_architectures_widths_5_6_match_mt_lr() {
     let budget = Budget {
         max_terms: 2_000_000,
         deadline: None,
-        threads: 0,
+        ..Budget::default()
     };
     for width in [5usize, 6] {
         for arch in PAPER_ARCHITECTURES {
@@ -151,8 +136,8 @@ fn paper_architectures_widths_5_6_match_mt_lr() {
 }
 
 /// Fault-injected mutants: the mismatch verdict grounds the same
-/// counterexample (operand words, circuit word, expected word) at every
-/// thread count.
+/// counterexample (operand words, circuit word, expected word) on both
+/// engines.
 #[test]
 fn fault_injected_variants_produce_identical_counterexamples() {
     let width = 4;
@@ -179,9 +164,9 @@ fn long_reduction() -> Netlist {
         .build()
 }
 
-/// A mid-reduction cancel through the shared `DeadlineToken` yields
-/// `Outcome::Cancelled` — not `ResourceLimit` — and the engine joins all its
-/// workers (the scoped shards cannot return otherwise).
+/// A mid-reduction cancel through the shared `DeadlineToken`, fired from
+/// another thread, yields `Outcome::Cancelled` — not `ResourceLimit` — and
+/// the run returns promptly.
 #[test]
 fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
     let netlist = long_reduction();
@@ -197,7 +182,6 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
         .expect("acyclic")
         .spec(Spec::multiplier(8))
         .strategy(Method::MtLrPar)
-        .budget(Budget::default().with_threads(4))
         .cancel_token(token)
         .run()
         .expect("interface");
@@ -218,30 +202,26 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
 }
 
 /// A budget deadline that expires mid-reduction surfaces as
-/// `ResourceLimit { phase: Reduce }` — not `Cancelled` — at one and at two
-/// threads: the budget's `DeadlineToken` is the only clock, and the pipeline
-/// maps its stops to outcomes.
+/// `ResourceLimit { phase: Reduce }` — not `Cancelled`: the budget's
+/// `DeadlineToken` is the only clock, and the pipeline maps its stops to
+/// outcomes.
 #[test]
 fn mid_reduction_deadline_returns_resource_limit() {
     let netlist = long_reduction();
-    for threads in [1, 2] {
-        let budget = Budget::default()
-            .with_deadline(Duration::from_millis(300))
-            .with_threads(threads);
-        let report = run(&netlist, 8, Method::MtLrPar, budget);
-        assert_eq!(
-            report.outcome,
-            Outcome::ResourceLimit {
-                phase: Phase::Reduce
-            },
-            "{threads} threads: an expired deadline must surface as a reduction resource limit"
-        );
-        assert!(
-            report.stats.total_time < Duration::from_secs(20),
-            "{threads} threads: the deadline stop took {:?}",
-            report.stats.total_time
-        );
-    }
+    let budget = Budget::default().with_deadline(Duration::from_millis(300));
+    let report = run(&netlist, 8, Method::MtLrPar, budget);
+    assert_eq!(
+        report.outcome,
+        Outcome::ResourceLimit {
+            phase: Phase::Reduce
+        },
+        "an expired deadline must surface as a reduction resource limit"
+    );
+    assert!(
+        report.stats.total_time < Duration::from_secs(20),
+        "the deadline stop took {:?}",
+        report.stats.total_time
+    );
 }
 
 /// A cyclic netlist surfaces `ExtractError` on the `MT-LR-PAR` path:
@@ -265,8 +245,8 @@ fn cyclic_netlist_surfaces_extract_error_on_parallel_path() {
 }
 
 /// Two side-by-side units with disjoint output cones verify under one custom
-/// specification at every thread count. The specification's input-only
-/// terms go straight to the engine's retired accumulator.
+/// specification on `MT-LR-PAR`. The specification's input-only terms go
+/// straight to the engine's retired accumulator.
 #[test]
 fn disjoint_units_verify_at_every_thread_count() {
     use gbmv::poly::Var;
@@ -289,18 +269,11 @@ fn disjoint_units_verify_at_every_thread_count() {
         (Monomial::var(y), Int::from(-1)),
         (Monomial::from_vars(vec![c, d]), Int::one()),
     ]);
-    for threads in THREAD_SWEEP {
-        let report = Session::extract(&nl)
-            .expect("acyclic")
-            .spec(Spec::polynomial("two-units", spec.clone()))
-            .strategy(Method::MtLrPar)
-            .budget(Budget::default().with_threads(threads))
-            .run()
-            .expect("interface");
-        assert!(
-            report.outcome.is_verified(),
-            "{threads} threads: {:?}",
-            report.outcome
-        );
-    }
+    let report = Session::extract(&nl)
+        .expect("acyclic")
+        .spec(Spec::polynomial("two-units", spec))
+        .strategy(Method::MtLrPar)
+        .run()
+        .expect("interface");
+    assert!(report.outcome.is_verified(), "{:?}", report.outcome);
 }

@@ -23,7 +23,6 @@ impl ReductionStrategy for TopoReduction {
         &self,
         model: &gbmv::core::AlgebraicModel,
         spec: &Polynomial,
-        modulus_bits: Option<u32>,
         ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
         let mut stats = ReductionStats::default();
@@ -44,7 +43,7 @@ impl ReductionStrategy for TopoReduction {
             r.substitute_into(v, tail, &mut scratch);
             std::mem::swap(&mut r, &mut scratch);
             stats.substitutions += 1;
-            if let Some(k) = modulus_bits {
+            if let Some(k) = ctx.modulus_bits {
                 r.retain_non_multiples_of_pow2(k);
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
