@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbmv_core::{
-    rewrite::{fanout_rewriting, logic_reduction_rewriting, xor_rewriting, RewriteConfig},
-    AlgebraicModel, VanishingRules,
+    AlgebraicModel, FanoutRewrite, LogicReductionRewrite, PhaseContext, RewriteStrategy,
+    VanishingRules, XorRewrite,
 };
 use gbmv_genmul::MultiplierSpec;
 
@@ -20,14 +20,14 @@ fn bench_rewriting_schemes(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("scheme", "fanout"), &base_model, |b, m| {
         b.iter(|| {
             let mut model = m.clone();
-            fanout_rewriting(&mut model, &RewriteConfig::default());
+            FanoutRewrite.rewrite(&mut model, &PhaseContext::default());
             model.num_polynomials()
         });
     });
     group.bench_with_input(BenchmarkId::new("scheme", "xor"), &base_model, |b, m| {
         b.iter(|| {
             let mut model = m.clone();
-            xor_rewriting(&mut model, &RewriteConfig::default());
+            XorRewrite.rewrite(&mut model, &PhaseContext::default());
             model.num_polynomials()
         });
     });
@@ -37,7 +37,7 @@ fn bench_rewriting_schemes(c: &mut Criterion) {
         |b, m| {
             b.iter(|| {
                 let mut model = m.clone();
-                logic_reduction_rewriting(&mut model, &RewriteConfig::default());
+                LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
                 model.num_polynomials()
             });
         },
@@ -48,11 +48,11 @@ fn bench_rewriting_schemes(c: &mut Criterion) {
         |b, m| {
             b.iter(|| {
                 let mut model = m.clone();
-                let config = RewriteConfig {
+                let ctx = PhaseContext {
                     rules: VanishingRules::none(),
-                    ..RewriteConfig::default()
+                    ..PhaseContext::default()
                 };
-                logic_reduction_rewriting(&mut model, &config);
+                LogicReductionRewrite.rewrite(&mut model, &ctx);
                 model.num_polynomials()
             });
         },

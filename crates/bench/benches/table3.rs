@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbmv_core::{
-    reduction::GbReduction,
-    rewrite::{logic_reduction_rewriting, RewriteConfig},
-    AlgebraicModel, Spec,
+    AlgebraicModel, GreedyReduction, LogicReductionRewrite, PhaseContext, ReductionStrategy,
+    RewriteStrategy, Spec,
 };
 use gbmv_genmul::MultiplierSpec;
 
@@ -24,13 +23,17 @@ fn bench_table3(c: &mut Criterion) {
             .instantiate(&pristine)
             .expect("interface");
         let mut model = pristine.clone();
-        logic_reduction_rewriting(&mut model, &RewriteConfig::default());
+        LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
         group.bench_with_input(
             BenchmarkId::new("gb_reduction_after_mtlr", arch),
             &(model, spec),
             |b, (model, spec)| {
                 b.iter(|| {
-                    let (r, outcome, _) = GbReduction::default().reduce(model, spec);
+                    let (r, outcome, _) = GreedyReduction { vanishing: false }.reduce(
+                        model,
+                        spec,
+                        &PhaseContext::default(),
+                    );
                     assert!(outcome.is_completed());
                     assert!(r.drop_multiples_of_pow2(2 * width as u32).is_zero());
                 });

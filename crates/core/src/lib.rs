@@ -13,25 +13,33 @@
 //! 2. **Rewriting** ([`rewrite`], pluggable via [`RewriteStrategy`]): the
 //!    model is rewritten against a keep-set of variables using repeated
 //!    S-polynomial substitution ("GB-Rew", Algorithm 2 of the paper). The
-//!    provided schemes are *fanout rewriting* (the MT-FO baseline of
-//!    Farahmandi & Alizadeh), *XOR rewriting* with the **XOR-AND vanishing
-//!    rule**, and *logic reduction rewriting* (Algorithm 3, the paper's
-//!    contribution).
+//!    provided strategies are *fanout rewriting* ([`FanoutRewrite`], the
+//!    MT-FO baseline of Farahmandi & Alizadeh), *XOR rewriting*
+//!    ([`XorRewrite`]) with the **XOR-AND vanishing rule**, and *logic
+//!    reduction rewriting* (Algorithm 3, the paper's contribution), on the
+//!    scan rewriter ([`LogicReductionRewrite`]) or on the indexed term store
+//!    ([`IndexedLogicReductionRewrite`]).
 //! 3. **Gröbner basis reduction** ([`reduction`], pluggable via
 //!    [`ReductionStrategy`], Algorithm 1): the specification polynomial is
 //!    divided by the rewritten model; the circuit is correct iff the
 //!    remainder is zero (modulo `2^(2n)` for multipliers). Two engines are
-//!    provided: the scan-based reference [`GbReduction`], which is the
+//!    provided: the scan-based reference [`GreedyReduction`], which is the
 //!    differential oracle, and the incremental indexed engine of
 //!    [`parallel`] ([`ParallelReduction`], preset [`Method::MtLrPar`]), whose
 //!    inverted var→term index makes each substitution step touch only the
 //!    affected terms. It runs on the calling thread and shares its
 //!    substitution loop with the indexed Step-2 rewriter.
 //!
+//! Each provided strategy is the only entry to its engine, and a
+//! [`PhaseContext`] is the only configuration an engine reads: the term
+//! limit, the cancellation token, the vanishing rules, the modulus and the
+//! spec weights of the run.
+//!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom
 //! [`RewriteStrategy`]/[`ReductionStrategy`] implementations), bound the run
-//! with a [`Budget`], observe [`Progress`], and [`Session::run`]. The
+//! with a [`Budget`], observe [`Progress`], and [`Session::run`]; the
+//! session turns the budget into the [`PhaseContext`] of each phase. The
 //! [`Portfolio`] driver runs several strategies — including the SAT miter
 //! baseline — against one extracted model, sequentially
 //! ([`Portfolio::run_all`]) or racing with first-winner semantics
@@ -72,12 +80,12 @@ pub use counterexample::{Counterexample, InputBit};
 pub use model::{AlgebraicModel, ExtractError, GateFunction};
 pub use parallel::ParallelReduction;
 pub use portfolio::{Portfolio, PortfolioReport, StrategyRun};
-pub use reduction::{GbReduction, ReductionOutcome, ReductionStats};
-pub use rewrite::{RewriteConfig, RewriteStats, RewriteVanishing, RewritingScheme};
+pub use reduction::{GreedyReduction, ReductionOutcome, ReductionStats};
+pub use rewrite::RewriteStats;
 pub use session::{Outcome, Phase, Progress, Report, RunStats, Session, SessionError};
 pub use spec::{Spec, SpecError};
 pub use strategy::{
-    FanoutRewrite, GreedyReduction, IndexedLogicReductionRewrite, LogicReductionRewrite, Method,
-    NoRewrite, PhaseContext, ReductionStrategy, RewriteStrategy, XorRewrite,
+    FanoutRewrite, IndexedLogicReductionRewrite, LogicReductionRewrite, Method, NoRewrite,
+    PhaseContext, ReductionStrategy, RewriteStrategy, XorRewrite,
 };
 pub use vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};

@@ -177,11 +177,6 @@ impl AlgebraicModel {
         self.column_reach.get(v.index()).copied().unwrap_or(0)
     }
 
-    /// Per-variable output-column support masks, indexed by `Var::index`.
-    pub fn column_masks(&self) -> &[u64] {
-        &self.column_reach
-    }
-
     /// The tail polynomial of the gate polynomial whose leading variable is
     /// `v`, if `v` is a gate output still present in the model.
     pub fn tail(&self, v: Var) -> Option<&Polynomial> {
@@ -285,11 +280,6 @@ impl AlgebraicModel {
     #[inline]
     pub fn is_output(&self, v: Var) -> bool {
         self.output_set.contains(&v)
-    }
-
-    /// The structural gate definition of `v`, if `v` is a gate output.
-    pub fn gate_function(&self, v: Var) -> Option<&GateFunction> {
-        self.gate_functions.get(&v)
     }
 
     /// All structural gate definitions (used to build the vanishing-rule

@@ -2,8 +2,8 @@
 //!
 //! [`ParallelReduction`] runs the Step-3 reduction (Algorithm 1) over the
 //! whole specification with the greedy level-restricted substitution order of
-//! [`crate::GbReduction`], the scan-based reference it is pinned against, but
-//! on an incrementally indexed term store:
+//! [`crate::GreedyReduction`], the scan-based reference it is pinned against,
+//! but on an incrementally indexed term store:
 //!
 //! * The working remainder lives in an [`IndexedPolynomial`]: an inverted
 //!   var→term-handle index makes each substitution step touch only the terms
@@ -21,14 +21,15 @@
 //!   XOR-chain/majority contradictions.
 //! * The term budget holds inside a step: a step stops as soon as the store
 //!   size after its extraction plus the products it has emitted passes
-//!   [`crate::Budget::max_terms`], so the store never outgrows the budget.
+//!   [`PhaseContext::max_terms`], so the store never outgrows the budget.
 //!
 //! Each step runs on the calling thread, through the product loop it shares
-//! with Step 2 ([`crate::rewrite::gb_rewrite_indexed`]). Integer term
-//! arithmetic is exact, so canonical remainders, verdicts and
-//! counterexamples equal the scan-based engine's. The loop polls the
-//! session's [`crate::DeadlineToken`]; a cancellation or deadline expiry
-//! stops the step at its next polling point.
+//! with the Step-2 rewriter of [`crate::IndexedLogicReductionRewrite`].
+//! Integer term arithmetic is exact, so canonical remainders, verdicts and
+//! counterexamples equal the scan-based engine's. The engine reads its term
+//! limit, token, vanishing rules and modulus from the [`PhaseContext`]
+//! alone; it polls [`PhaseContext::token`], and a cancellation or deadline
+//! expiry stops the step at its next polling point.
 
 use std::time::Instant;
 
@@ -59,7 +60,7 @@ impl ReductionStrategy for ParallelReduction {
         ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
         let start = Instant::now();
-        let max_terms = ctx.budget.max_terms;
+        let max_terms = ctx.max_terms;
         let mut stats = ReductionStats::default();
         let closure =
             Some(ClosureVanishing::new(model, ctx.rules)).filter(ClosureVanishing::enabled);
@@ -114,7 +115,7 @@ impl ReductionStrategy for ParallelReduction {
                     terms: r.num_terms(),
                 };
             }
-            // Candidate selection — the same rule as `GbReduction`: among the
+            // Candidate selection — the same rule as `GreedyReduction`: among the
             // variables of the highest present logic level, the smallest
             // estimated growth `occurrences x (tail size - 1)`, tie-broken by
             // variable index — except that the highest output column a
@@ -198,20 +199,16 @@ impl ReductionStrategy for ParallelReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::{Budget, DeadlineToken};
-    use crate::reduction::GbReduction;
+    use crate::budget::DeadlineToken;
+    use crate::reduction::GreedyReduction;
     use crate::spec::Spec;
-    use crate::vanishing::VanishingRules;
     use gbmv_genmul::MultiplierSpec;
     use gbmv_poly::{Int, Monomial};
 
-    fn context(budget: Budget, modulus_bits: Option<u32>) -> PhaseContext {
+    fn context(modulus_bits: Option<u32>) -> PhaseContext {
         PhaseContext {
-            budget,
-            token: budget.token(),
-            rules: VanishingRules::default(),
             modulus_bits,
-            spec_weights: None,
+            ..PhaseContext::default()
         }
     }
 
@@ -226,8 +223,8 @@ mod tests {
     fn matches_greedy_engine_remainder_mod_2k() {
         let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
         let k = modulus.unwrap();
-        let ctx = context(Budget::default(), modulus);
-        let (greedy, outcome, _) = ctx.reduction_engine().reduce(&model, &spec);
+        let ctx = context(modulus);
+        let (greedy, outcome, _) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed());
         let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed(), "{outcome:?}");
@@ -247,7 +244,7 @@ mod tests {
         // vanishing skip) and ends with all counts back at zero — the loop
         // only terminates when no tracked variable is left.
         let (model, spec, modulus) = model_and_spec("SP-CT-BK", 4);
-        let ctx = context(Budget::default(), modulus);
+        let ctx = context(modulus);
         let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed());
         assert!(r.is_zero(), "correct multiplier must verify");
@@ -261,7 +258,10 @@ mod tests {
     #[test]
     fn term_limit_is_reported() {
         let (model, spec, modulus) = model_and_spec("SP-WT-KS", 6);
-        let ctx = context(Budget::default().with_max_terms(50), modulus);
+        let ctx = PhaseContext {
+            max_terms: 50,
+            ..context(modulus)
+        };
         let (_, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
         assert!(stats.peak_terms > 50);
@@ -274,7 +274,7 @@ mod tests {
         token.cancel();
         let ctx = PhaseContext {
             token,
-            ..context(Budget::default(), modulus)
+            ..context(modulus)
         };
         let (_, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert_eq!(outcome, ReductionOutcome::Cancelled);
@@ -288,9 +288,9 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let (spec, modulus) = Spec::adder(6).instantiate(&model).unwrap();
         assert_eq!(modulus, None);
-        let (greedy, outcome, _) = GbReduction::new(10_000_000).reduce(&model, &spec);
+        let ctx = context(None);
+        let (greedy, outcome, _) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed());
-        let ctx = context(Budget::default(), None);
         let (r, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
         assert!(outcome.is_completed());
         assert_eq!(r, greedy);

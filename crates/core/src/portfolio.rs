@@ -211,11 +211,6 @@ impl Portfolio {
         self
     }
 
-    /// The display names of the added strategies, in order.
-    pub fn strategy_names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-
     fn prepared(&self) -> Result<(Spec, Polynomial, Option<u32>), SessionError> {
         let spec = self.spec.clone().ok_or(SessionError::MissingSpec)?;
         if self.entries.is_empty() {
@@ -244,7 +239,7 @@ impl Portfolio {
         match &entry.kind {
             EntryKind::Algebraic { rewrite, reduction } => {
                 let ctx = PhaseContext {
-                    budget: self.budget,
+                    max_terms: self.budget.max_terms,
                     token,
                     rules: self.rules,
                     modulus_bits: None,

@@ -13,9 +13,11 @@
 //! multiplier) terminate with [`ReductionOutcome::LimitExceeded`] instead of
 //! exhausting memory.
 //!
-//! [`GbReduction`] is the scan-based reference engine, kept deliberately
+//! [`GreedyReduction`] is the scan-based reference engine, kept deliberately
 //! simple: it is the differential oracle the indexed engine of
-//! [`crate::parallel`] is pinned against.
+//! [`crate::parallel`] is pinned against. It is a [`ReductionStrategy`], the
+//! only entry to its loop, and reads its term limit, token, modulus and
+//! vanishing rules from the [`PhaseContext`].
 
 use std::time::{Duration, Instant};
 
@@ -23,6 +25,7 @@ use gbmv_poly::{FastMap, Polynomial, Var};
 
 use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
+use crate::strategy::{PhaseContext, ReductionStrategy};
 use crate::vanishing::VanishingTracker;
 
 /// Why a reduction run ended.
@@ -73,8 +76,8 @@ pub struct ReductionStats {
     /// Number of terms of the final remainder (before modulo reduction).
     pub final_terms: usize,
     /// Number of monomials removed by the vanishing rules *during the
-    /// reduction* (the reduction-phase share of `#CVM`; zero unless
-    /// [`GbReduction::reduce_with_vanishing`] is used).
+    /// reduction* (the reduction-phase share of `#CVM`; zero for
+    /// [`GreedyReduction`] without `vanishing`).
     pub cancelled_vanishing: u64,
     /// Number of terms the indexed engines retrieved through the inverted
     /// var→term index (one per extracted term; zero for the scan-based
@@ -89,114 +92,78 @@ pub struct ReductionStats {
     pub elapsed: Duration,
 }
 
-/// The Gröbner basis reduction engine.
-#[derive(Debug, Clone)]
-pub struct GbReduction {
-    /// Abort when the intermediate remainder exceeds this many terms.
-    pub max_terms: usize,
-    /// Cooperative cancellation and the only clock: the reduction returns
-    /// [`ReductionOutcome::Cancelled`] (explicit cancel) or
-    /// [`ReductionOutcome::TimedOut`] (deadline) at the next substitution
-    /// after the token expires. The default token never expires.
-    pub cancel: DeadlineToken,
-    /// When set, drop terms whose coefficient is a multiple of `2^k` after
-    /// every substitution instead of only at the end.
-    ///
-    /// For a `mod 2^k` specification this is sound — substitution maps every
-    /// term to a sum of terms whose coefficients are multiples of the
-    /// original coefficient, so divisibility by `2^k` is preserved and the
-    /// dropped terms can never influence the final remainder mod `2^k`. For
-    /// Booth and redundant-binary circuits it is also what keeps the
-    /// intermediate remainder small: their bit-level implementations are only
-    /// congruent (not equal) to the product, and without intermediate modular
-    /// dropping the congruence excess accumulates millions of terms that the
-    /// final `drop_multiples_of_pow2` would erase anyway.
-    pub modulus_bits: Option<u32>,
-}
-
-impl Default for GbReduction {
-    fn default() -> Self {
-        GbReduction {
-            max_terms: 5_000_000,
-            cancel: DeadlineToken::new(),
-            modulus_bits: None,
-        }
-    }
-}
-
-impl GbReduction {
-    /// Creates a reduction engine with an explicit term limit.
-    pub fn new(max_terms: usize) -> Self {
-        GbReduction {
-            max_terms,
-            ..GbReduction::default()
-        }
-    }
-
-    /// Enables intermediate `mod 2^k` coefficient dropping (see
-    /// [`GbReduction::modulus_bits`]).
-    pub fn with_modulus(mut self, k: u32) -> Self {
-        self.modulus_bits = Some(k);
-        self
-    }
-
-    /// Installs a cooperative cancellation token (see [`GbReduction::cancel`]).
-    pub fn with_token(mut self, token: DeadlineToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Reduces (divides) `spec` with respect to the model. Returns the
-    /// remainder, the outcome and the collected statistics.
-    ///
-    /// Because every model polynomial has the shape `-v + tail(v)` with
-    /// `tail(v)` over variables strictly lower in the topological order, the
-    /// substitution system is terminating and confluent: the remainder does
-    /// not depend on the substitution order. The engine exploits that freedom
-    /// and greedily substitutes the variable with the smallest estimated
-    /// growth (`occurrences × (tail size - 1)`) first, which keeps the
-    /// intermediate remainder orders of magnitude smaller than the fixed
-    /// reverse-topological order on deep parallel-prefix carry networks
-    /// (Kogge-Stone / Han-Carlson).
-    ///
-    /// The remainder only mentions primary-input variables when the outcome
-    /// is [`ReductionOutcome::Completed`] and the model still contains a
-    /// polynomial for every internal variable of `spec`'s cone.
-    pub fn reduce(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        self.reduce_greedy_inner(model, spec, None)
-    }
-
-    /// Like [`GbReduction::reduce`] but applying the structural vanishing
-    /// rules after every substitution. At the synthesized gate level the
+/// The scan-based reduction (Algorithm 1) behind the paper's presets, and
+/// the differential oracle of [`crate::ParallelReduction`]: greedy
+/// smallest-growth substitution order over a plain [`Polynomial`],
+/// optionally re-applying the structural vanishing rules after every
+/// substitution.
+///
+/// Because every model polynomial has the shape `-v + tail(v)` with
+/// `tail(v)` over variables strictly lower in the topological order, the
+/// substitution system is terminating and confluent: the remainder does not
+/// depend on the substitution order. The engine exploits that freedom and
+/// greedily substitutes the variable with the smallest estimated growth
+/// (`occurrences × (tail size - 1)`) first, which keeps the intermediate
+/// remainder orders of magnitude smaller than the fixed reverse-topological
+/// order on deep parallel-prefix carry networks (Kogge-Stone / Han-Carlson).
+///
+/// It reads from the [`PhaseContext`]:
+///
+/// * `max_terms`: the reduction stops with
+///   [`ReductionOutcome::LimitExceeded`] after the step that passes it;
+/// * `token`: polled after every substitution, it stops the reduction with
+///   [`ReductionOutcome::Cancelled`] (explicit cancel) or
+///   [`ReductionOutcome::TimedOut`] (deadline);
+/// * `modulus_bits`: with `Some(k)`, terms whose coefficient is a multiple
+///   of `2^k` are dropped after every substitution instead of only at the
+///   end. For a `mod 2^k` specification this is sound — substitution maps
+///   every term to a sum of terms whose coefficients are multiples of the
+///   original coefficient, so divisibility by `2^k` is preserved and the
+///   dropped terms can never influence the final remainder mod `2^k`. For
+///   Booth and redundant-binary circuits it is also what keeps the
+///   intermediate remainder small: their bit-level implementations are only
+///   congruent (not equal) to the product, and without intermediate modular
+///   dropping the congruence excess accumulates millions of terms that the
+///   final `drop_multiples_of_pow2` would erase anyway;
+/// * `rules`: with `vanishing`, the [`VanishingTracker`] built from them.
+///
+/// The remainder only mentions primary-input variables when the outcome is
+/// [`ReductionOutcome::Completed`] and the model still contains a polynomial
+/// for every internal variable of `spec`'s cone.
+#[derive(Debug, Clone, Copy)]
+pub struct GreedyReduction {
+    /// Apply the vanishing rules after every substitution (required for the
+    /// logic-reduction methods). At the synthesized gate level the
     /// reduction can re-create vanishing monomials by multiplying tails of
     /// different (individually clean) model polynomials; removing them here
     /// is the same logic reduction the paper applies during rewriting and is
-    /// what keeps redundant-binary trees and wide parallel-prefix adders from
-    /// blowing up during Step 3. The monomials removed are added to the
-    /// tracker's cancelled count (`#CVM`).
-    pub fn reduce_with_vanishing(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-        tracker: &mut VanishingTracker,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        self.reduce_greedy_inner(model, spec, Some(tracker))
+    /// what keeps redundant-binary trees and wide parallel-prefix adders
+    /// from blowing up during Step 3. The removed monomials count towards
+    /// [`ReductionStats::cancelled_vanishing`] (`#CVM`).
+    pub vanishing: bool,
+}
+
+impl ReductionStrategy for GreedyReduction {
+    fn name(&self) -> &str {
+        if self.vanishing {
+            "greedy+vanishing"
+        } else {
+            "greedy"
+        }
     }
 
-    /// Greedy-order reduction: repeatedly substitutes the present variable
-    /// with the smallest estimated term growth. See [`GbReduction::reduce`]
-    /// for why the order is free.
-    fn reduce_greedy_inner(
+    fn reduce(
         &self,
         model: &AlgebraicModel,
         spec: &Polynomial,
-        mut tracker: Option<&mut VanishingTracker>,
+        ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
         let start = Instant::now();
+        // The gate-function index survives rewriting (only tails change), so
+        // the tracker can be built from the rewritten model.
+        let mut tracker = self
+            .vanishing
+            .then(|| VanishingTracker::new(model, ctx.rules));
         let mut stats = ReductionStats::default();
         let mut r = spec.clone();
         let mut scratch = Polynomial::zero();
@@ -239,19 +206,19 @@ impl GbReduction {
             r.substitute_into(v, tail, &mut scratch);
             std::mem::swap(&mut r, &mut scratch);
             stats.substitutions += 1;
-            if let Some(t) = tracker.as_deref_mut() {
+            if let Some(t) = tracker.as_mut() {
                 stats.cancelled_vanishing += t.apply(&mut r) as u64;
             }
-            if let Some(k) = self.modulus_bits {
+            if let Some(k) = ctx.modulus_bits {
                 r.retain_non_multiples_of_pow2(k);
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if r.num_terms() > self.max_terms {
+            if r.num_terms() > ctx.max_terms {
                 break ReductionOutcome::LimitExceeded {
                     terms: stats.peak_terms,
                 };
             }
-            if let Some(stop) = ReductionOutcome::from_token(&self.cancel) {
+            if let Some(stop) = ReductionOutcome::from_token(&ctx.token) {
                 break stop;
             }
         };
@@ -264,9 +231,19 @@ impl GbReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vanishing::VanishingRules;
     use gbmv_netlist::Netlist;
     use gbmv_poly::spec::{adder_spec, full_adder_spec};
     use gbmv_poly::{Int, Monomial};
+
+    /// The scan reduction without vanishing or modulus, under the default
+    /// context.
+    fn reduce(
+        model: &AlgebraicModel,
+        spec: &Polynomial,
+    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
+        GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default())
+    }
 
     /// The full adder of Example 1; with `bug`, the `t` gate is an OR
     /// instead of an AND.
@@ -297,7 +274,7 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-        let (r, outcome, stats) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, stats) = reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(
             r.is_zero(),
@@ -314,7 +291,7 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, _) = reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(!r.is_zero(), "buggy adder must not verify");
         // The remainder only mentions primary inputs.
@@ -337,7 +314,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, _) = reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(r.is_zero());
     }
@@ -356,7 +333,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, _) = reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(r.is_zero());
     }
@@ -375,10 +352,20 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = gbmv_poly::spec::multiplier_spec(&a, &b, &s);
-        let engine = GbReduction::new(50);
-        let (_, outcome, stats) = engine.reduce(&model, &spec);
-        assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
-        assert!(stats.peak_terms > 50);
+        let ctx = PhaseContext {
+            max_terms: 50,
+            ..PhaseContext::default()
+        };
+        for vanishing in [false, true] {
+            let engine = GreedyReduction { vanishing };
+            let (_, outcome, stats) = engine.reduce(&model, &spec, &ctx);
+            let name = engine.name();
+            assert!(
+                matches!(outcome, ReductionOutcome::LimitExceeded { .. }),
+                "{name}: {outcome:?}"
+            );
+            assert!(stats.peak_terms > 50, "{name}");
+        }
     }
 
     /// The remainder does not depend on the substitution order: the indexed
@@ -387,8 +374,6 @@ mod tests {
     /// only the order differs).
     #[test]
     fn explicit_order_matches_default_for_full_adder() {
-        use crate::strategy::{PhaseContext, ReductionStrategy};
-        use crate::vanishing::VanishingRules;
         let ctx = PhaseContext {
             rules: VanishingRules::none(),
             ..PhaseContext::default()
@@ -398,7 +383,7 @@ mod tests {
             let model = AlgebraicModel::from_netlist(&nl).unwrap();
             let var = |name: &str| Var(nl.find_net(name).unwrap().0);
             let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-            let (r1, o1, s1) = GbReduction::default().reduce(&model, &spec);
+            let (r1, o1, s1) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
             let (r2, o2, s2) = crate::ParallelReduction.reduce(&model, &spec, &ctx);
             assert!(o1.is_completed() && o2.is_completed());
             assert_eq!(r1, r2, "bug = {bug}");
@@ -419,7 +404,7 @@ mod tests {
             (Monomial::var(Var(z.0)), Int::from(-1)),
             (Monomial::var(Var(a.0)), Int::one()),
         ]);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, _) = reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(r.is_zero());
     }

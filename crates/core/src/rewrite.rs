@@ -7,18 +7,27 @@
 //! — in XOR rewriting — removing vanishing monomials with the XOR-AND rule
 //! before they can blow up.
 //!
-//! Three keep-set schemes are provided (Section II-B and IV-B of the paper):
+//! The keep-set schemes of the paper (Sections II-B and IV-B) are
+//! [`crate::RewriteStrategy`] implementations, each the only entry to its
+//! engine:
 //!
-//! * [`RewritingScheme::Fanout`] — fanout variables + primary I/O. This is
-//!   the MT-FO baseline of Farahmandi & Alizadeh.
-//! * [`RewritingScheme::Xor`] — XOR-gate inputs/outputs + primary I/O, with
-//!   the vanishing rule applied after every substitution.
-//! * [`RewritingScheme::Common`] — variables shared by more than one model
-//!   polynomial + primary I/O.
+//! * [`crate::FanoutRewrite`] keeps fanout variables and primary I/O. This
+//!   is the MT-FO baseline of Farahmandi & Alizadeh.
+//! * [`crate::XorRewrite`] keeps XOR-gate inputs/outputs and primary I/O,
+//!   and applies the vanishing rules after every substitution.
+//! * [`crate::LogicReductionRewrite`], the paper's *logic reduction
+//!   rewriting* (Algorithm 3), runs XOR rewriting and then common rewriting,
+//!   which keeps the variables shared by more than one model polynomial.
+//! * [`crate::IndexedLogicReductionRewrite`] runs the same two passes on the
+//!   incrementally indexed term store (the Step 2 of `MT-LR-PAR`).
 //!
-//! The paper's *logic reduction rewriting* (Algorithm 3) is the sequential
-//! application of XOR rewriting followed by common rewriting; see
-//! [`logic_reduction_rewriting`].
+//! The first three run the scan rewriter of Algorithm 2 (`GB-Rew`), which
+//! rebuilds a tail per substitution; the fourth runs the indexed rewriter,
+//! whose product loop Step 3 of `MT-LR-PAR` shares. Both engines read their
+//! term limit, token, modulus and spec weights from the
+//! [`crate::PhaseContext`] alone. This module also holds the statistics of
+//! a pass ([`RewriteStats`]) and the spec weights of a run
+//! ([`spec_weights`]).
 
 use std::time::{Duration, Instant};
 
@@ -27,45 +36,8 @@ use gbmv_poly::{FastSet, IndexedPolynomial, Int, Monomial, Polynomial, Var};
 use crate::budget::DeadlineToken;
 use crate::model::{AlgebraicModel, GateFunction};
 use crate::reduction::ReductionOutcome;
-use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
-
-/// The keep-set selection schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewritingScheme {
-    /// Keep fanout variables (MT-FO baseline).
-    Fanout,
-    /// Keep XOR inputs/outputs and apply the vanishing rule (first half of
-    /// MT-LR).
-    Xor,
-    /// Keep variables shared between polynomials (second half of MT-LR).
-    Common,
-}
-
-/// Configuration of a rewriting pass.
-#[derive(Debug, Clone)]
-pub struct RewriteConfig {
-    /// Which structural vanishing rules to apply (only used by schemes that
-    /// enable the rule, i.e. XOR rewriting).
-    pub rules: VanishingRules,
-    /// Abort when any tail polynomial exceeds this many terms. The indexed
-    /// rewriter checks inside each substitution step, before a tail can
-    /// outgrow the budget; the scan rewriter checks after each step.
-    pub max_terms: usize,
-    /// Cooperative cancellation and the only clock: the pass aborts (with
-    /// [`RewriteStats::limit_exceeded`]) as soon as the token is cancelled or
-    /// its deadline passes. The default token never expires.
-    pub cancel: DeadlineToken,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> Self {
-        RewriteConfig {
-            rules: VanishingRules::default(),
-            max_terms: 5_000_000,
-            cancel: DeadlineToken::new(),
-        }
-    }
-}
+use crate::strategy::PhaseContext;
+use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingTracker};
 
 /// Statistics of one or more rewriting passes.
 #[derive(Debug, Clone, Default)]
@@ -97,7 +69,8 @@ pub struct RewriteStats {
 }
 
 impl RewriteStats {
-    fn merge(&mut self, other: &RewriteStats) {
+    /// Adds the statistics of a later pass to this one.
+    pub(crate) fn merge(&mut self, other: &RewriteStats) {
         self.substitutions += other.substitutions;
         self.cancelled_vanishing += other.cancelled_vanishing;
         self.removed_polynomials += other.removed_polynomials;
@@ -118,8 +91,8 @@ impl RewriteStats {
 /// column `v` feeds.
 ///
 /// The weights let Step 2 keep each tail modulo `2^(k - W(v))` instead of
-/// `2^k` (see [`gb_rewrite_indexed`]). This is sound for a zero test modulo
-/// `2^k`:
+/// `2^k` (see [`crate::IndexedLogicReductionRewrite`]). This is sound for a
+/// zero test modulo `2^k`:
 ///
 /// * every remainder term that contains `v` descends from a spec term that
 ///   reaches `v`, and substitution only multiplies and adds coefficients, so
@@ -153,15 +126,6 @@ pub fn spec_weights(model: &AlgebraicModel, spec: &Polynomial, k: u32) -> Vec<u3
     weights
 }
 
-/// Computes the keep-set `V` of a scheme for the current model.
-pub fn keep_set(model: &AlgebraicModel, scheme: RewritingScheme) -> FastSet<Var> {
-    match scheme {
-        RewritingScheme::Fanout => model.fanout_keep_set(),
-        RewritingScheme::Xor => model.xor_keep_set(),
-        RewritingScheme::Common => model.common_keep_set(),
-    }
-}
-
 /// Gröbner basis rewriting (Algorithm 2, `GB-Rew`).
 ///
 /// Rewrites every polynomial of the model so that its tail only mentions
@@ -170,11 +134,15 @@ pub fn keep_set(model: &AlgebraicModel, scheme: RewritingScheme) -> FastSet<Var>
 /// applied after every substitution. Finally, polynomials whose leading
 /// variables are not in `keep` and are not primary outputs are removed from
 /// the model.
-pub fn gb_rewrite(
+///
+/// The pass stops, with [`RewriteStats::limit_exceeded`], when `ctx.token`
+/// expires (polled before every substitution) or a tail passes
+/// `ctx.max_terms` (checked after every substitution).
+pub(crate) fn gb_rewrite(
     model: &mut AlgebraicModel,
     keep: &FastSet<Var>,
     mut vanishing: Option<&mut VanishingTracker>,
-    config: &RewriteConfig,
+    ctx: &PhaseContext,
 ) -> RewriteStats {
     let start = Instant::now();
     let mut stats = RewriteStats::default();
@@ -192,7 +160,7 @@ pub fn gb_rewrite(
             None => continue,
         };
         loop {
-            if config.cancel.expired() {
+            if ctx.token.expired() {
                 stats.limit_exceeded = true;
                 break;
             }
@@ -209,7 +177,7 @@ pub fn gb_rewrite(
                 stats.cancelled_vanishing += removed as u64;
             }
             stats.peak_terms = stats.peak_terms.max(tail.num_terms());
-            if tail.num_terms() > config.max_terms {
+            if tail.num_terms() > ctx.max_terms {
                 stats.limit_exceeded = true;
                 break;
             }
@@ -264,49 +232,17 @@ fn smallest_tail_candidate(
     best.map(|(_, u)| Var(u))
 }
 
-/// Fanout rewriting: the Step-2 scheme of the MT-FO baseline.
-pub fn fanout_rewriting(model: &mut AlgebraicModel, config: &RewriteConfig) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Fanout);
-    gb_rewrite(model, &keep, None, config)
-}
-
-/// XOR rewriting with the XOR-AND vanishing rule (first half of MT-LR).
-pub fn xor_rewriting(model: &mut AlgebraicModel, config: &RewriteConfig) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Xor);
-    let mut tracker = VanishingTracker::new(model, config.rules);
-    gb_rewrite(model, &keep, Some(&mut tracker), config)
-}
-
-/// Common rewriting (second half of MT-LR).
-pub fn common_rewriting(model: &mut AlgebraicModel, config: &RewriteConfig) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Common);
-    gb_rewrite(model, &keep, None, config)
-}
-
-/// Logic reduction rewriting (Algorithm 3): XOR rewriting followed by common
-/// rewriting. This is the paper's contribution (the Step 2 used by MT-LR).
-pub fn logic_reduction_rewriting(
-    model: &mut AlgebraicModel,
-    config: &RewriteConfig,
-) -> RewriteStats {
-    let mut stats = xor_rewriting(model, config);
-    if !stats.limit_exceeded {
-        let common = common_rewriting(model, config);
-        stats.merge(&common);
-    }
-    stats
-}
-
 /// How often the shared product loop ([`substitute_step`]) polls the
 /// cancellation token, in expanded products, so even a single multi-second
 /// substitution step reacts to cancellation.
 const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
 
 /// The vanishing predicate the indexed loops apply during each substitution.
-/// [`gb_rewrite_indexed`] takes either variant, selected per preset by
-/// [`VanishingRules::closure`] (see [`indexed_xor_rewriting`]); the indexed
-/// reduction engine ([`crate::ParallelReduction`]) uses the closure.
-pub enum RewriteVanishing<'a> {
+/// [`gb_rewrite_indexed`] takes either variant, and
+/// [`crate::IndexedLogicReductionRewrite`] picks one by
+/// [`crate::VanishingRules::closure`]; the indexed reduction engine
+/// ([`crate::ParallelReduction`]) uses the closure.
+pub(crate) enum RewriteVanishing<'a> {
     /// The scan engine's static per-monomial pattern test. In this mode the
     /// rewriter's result is term-for-term identical to [`gb_rewrite`]'s —
     /// the differential contract pinned by `tests/rewrite_equivalence.rs`.
@@ -456,9 +392,9 @@ pub(crate) fn substitute_step(
 ///   inserted, and a whole extracted term is skipped when its residual
 ///   monomial alone already vanishes (sound because both predicates are
 ///   monotone: every supermonomial of a vanishing monomial vanishes too);
-/// * with `modulus_bits = Some(k)`, coefficients are kept canonical mod
-///   `2^k` and terms cancel at insertion time; with `weights` as well (the
-///   [`spec_weights`] of the run), the tail of `v` is kept mod
+/// * with `ctx.modulus_bits = Some(k)`, coefficients are kept canonical mod
+///   `2^k` and terms cancel at insertion time; with `ctx.spec_weights` as
+///   well (the [`spec_weights`] of the run), the tail of `v` is kept mod
 ///   `2^(k - W(v))` instead, so the tail of the top product bit of a
 ///   multiplier keeps only its parity;
 /// * terms over keep-set variables and primary inputs only (no remaining
@@ -466,7 +402,8 @@ pub(crate) fn substitute_step(
 ///   outside all per-step index maintenance;
 /// * a substitution step stops as soon as its term bound — the tail's size
 ///   after extraction plus the products the step has emitted — passes
-///   `config.max_terms`, so no tail outgrows the budget mid-step.
+///   `ctx.max_terms`, so no tail outgrows the budget mid-step; `ctx.token`
+///   is polled before every substitution and inside the product loop.
 ///
 /// Each step's products come from the loop the indexed reduction shares
 /// (`substitute_step`). The tracked set of each tail's store is its
@@ -476,8 +413,8 @@ pub(crate) fn substitute_step(
 /// replacement never brings in a new candidate.
 ///
 /// The rewritten tails are the canonical post-rewrite form: coefficients in
-/// `[0, 2^k)` when a modulus is given (in `[0, 2^(k - W(v)))` with
-/// `weights`). Which products cancel depends on the `vanishing` mode:
+/// `[0, 2^k)` when a modulus is given (in `[0, 2^(k - W(v)))` with spec
+/// weights). Which products cancel depends on the `vanishing` mode:
 ///
 /// * [`RewriteVanishing::Tracker`] applies the *same* static per-monomial
 ///   test as the scan engine's tracker, so judging each product at
@@ -499,13 +436,11 @@ pub(crate) fn substitute_step(
 ///   pins the verdicts. This is the
 ///   presets' default mode and what opens width 16+: the closure kills the
 ///   high-degree carry products the tracker's local patterns miss.
-pub fn gb_rewrite_indexed(
+pub(crate) fn gb_rewrite_indexed(
     model: &mut AlgebraicModel,
     keep: &FastSet<Var>,
     vanishing: Option<RewriteVanishing>,
-    config: &RewriteConfig,
-    modulus_bits: Option<u32>,
-    weights: Option<&[u32]>,
+    ctx: &PhaseContext,
 ) -> RewriteStats {
     let start = Instant::now();
     let mut stats = RewriteStats::default();
@@ -522,7 +457,7 @@ pub fn gb_rewrite_indexed(
     let mut since_poll = 0usize;
     'pass: for (pos, &v) in order.iter().enumerate() {
         let retiring_cols = (suffix[pos] & !suffix[pos + 1]).count_ones() as usize;
-        if config.cancel.expired() {
+        if ctx.token.expired() {
             stats.limit_exceeded = true;
             break 'pass;
         }
@@ -548,9 +483,9 @@ pub fn gb_rewrite_indexed(
         for &u in &cand {
             tracked[u.index()] = true;
         }
-        let weight = weights.map_or(0, |w| w[v.index()]);
+        let weight = ctx.spec_weights.as_ref().map_or(0, |w| w[v.index()]);
         let mut store =
-            IndexedPolynomial::new(tracked, modulus_bits.map(|k| k.saturating_sub(weight)));
+            IndexedPolynomial::new(tracked, ctx.modulus_bits.map(|k| k.saturating_sub(weight)));
         for (m, c) in tail.iter() {
             store.add_term(m.clone(), c.clone());
         }
@@ -559,7 +494,7 @@ pub fn gb_rewrite_indexed(
         // the scan engine's first post-substitution application.
         let mut swept = vanishing.is_none();
         loop {
-            if config.cancel.expired() {
+            if ctx.token.expired() {
                 stats.limit_exceeded = true;
                 break;
             }
@@ -605,8 +540,8 @@ pub fn gb_rewrite_indexed(
                 u,
                 replacement,
                 vanishing.as_mut(),
-                config.max_terms,
-                &config.cancel,
+                ctx.max_terms,
+                &ctx.token,
                 &mut since_poll,
             );
             match step {
@@ -644,71 +579,51 @@ pub fn gb_rewrite_indexed(
     stats
 }
 
-/// XOR rewriting on the indexed store, with vanishing cancellation applied
-/// during each substitution. [`VanishingRules::closure`] selects the
-/// predicate: the unit-propagation closure by default (the presets' fast,
-/// width-16-opening mode), the scan tracker's pattern rules when disabled —
-/// the byte-identical differential mode of `tests/rewrite_equivalence.rs`.
-pub fn indexed_xor_rewriting(
-    model: &mut AlgebraicModel,
-    config: &RewriteConfig,
-    modulus_bits: Option<u32>,
-    weights: Option<&[u32]>,
-) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Xor);
-    if config.rules.closure {
-        let vanishing = ClosureVanishing::new(model, config.rules);
-        let vanishing = RewriteVanishing::closure(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits, weights)
-    } else {
-        let vanishing = VanishingTracker::new(model, config.rules);
-        let vanishing = RewriteVanishing::Tracker(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits, weights)
-    }
-}
-
-/// Common rewriting on the indexed store (no vanishing, like the scan
-/// engine's common pass).
-pub fn indexed_common_rewriting(
-    model: &mut AlgebraicModel,
-    config: &RewriteConfig,
-    modulus_bits: Option<u32>,
-    weights: Option<&[u32]>,
-) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Common);
-    gb_rewrite_indexed(model, &keep, None, config, modulus_bits, weights)
-}
-
-/// Logic reduction rewriting (Algorithm 3) on the indexed store: indexed
-/// XOR rewriting followed by indexed common rewriting — the Step 2 of the
-/// `MT-LR-PAR` preset, which passes the run's [`spec_weights`] as
-/// `weights`. With [`VanishingRules::closure`] disabled and no `weights` it
-/// produces the canonical (mod `2^k`) form of
-/// [`logic_reduction_rewriting`]'s result, term for term; with `weights`
-/// each tail is that form reduced mod `2^(k - W(v))`; with the default
-/// closure mode the model is smaller but reduces to the same remainder.
-pub fn indexed_logic_reduction_rewriting(
-    model: &mut AlgebraicModel,
-    config: &RewriteConfig,
-    modulus_bits: Option<u32>,
-    weights: Option<&[u32]>,
-) -> RewriteStats {
-    let mut stats = indexed_xor_rewriting(model, config, modulus_bits, weights);
-    if !stats.limit_exceeded {
-        let common = indexed_common_rewriting(model, config, modulus_bits, weights);
-        stats.merge(&common);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::GbReduction;
+    use crate::reduction::{GreedyReduction, ReductionStats};
     use crate::spec::Spec;
+    use crate::strategy::{
+        FanoutRewrite, IndexedLogicReductionRewrite, LogicReductionRewrite, ReductionStrategy,
+        RewriteStrategy, XorRewrite,
+    };
+    use crate::vanishing::VanishingRules;
     use gbmv_genmul::{build_adder, AdderKind, MultiplierSpec};
     use gbmv_netlist::Netlist;
     use gbmv_poly::spec::{adder_spec, multiplier_spec};
+
+    /// The four rewriting strategies, each the entry to its engine.
+    fn rewriters() -> [&'static dyn RewriteStrategy; 4] {
+        [
+            &FanoutRewrite,
+            &XorRewrite,
+            &LogicReductionRewrite,
+            &IndexedLogicReductionRewrite,
+        ]
+    }
+
+    /// A context with the tracker predicate (`closure: false`) and a
+    /// `2^k` modulus: the byte-identical mode of the indexed rewriter.
+    fn tracker_context(k: u32) -> PhaseContext {
+        PhaseContext {
+            rules: VanishingRules {
+                closure: false,
+                ..VanishingRules::default()
+            },
+            modulus_bits: Some(k),
+            ..PhaseContext::default()
+        }
+    }
+
+    /// The scan reduction without vanishing or modulus, under the default
+    /// context.
+    fn reduce(model: &AlgebraicModel, spec: &Polynomial) -> (Polynomial, ReductionStats) {
+        let (r, outcome, stats) =
+            GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default());
+        assert!(outcome.is_completed(), "{outcome:?}");
+        (r, stats)
+    }
 
     fn adder_vars(nl: &Netlist, width: usize) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
         let a = (0..width)
@@ -729,12 +644,12 @@ mod tests {
         let nl = build_adder(3, AdderKind::RippleCarry, false);
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
         let polys_before = model.num_polynomials();
-        let stats = fanout_rewriting(&mut model, &RewriteConfig::default());
+        let stats = FanoutRewrite.rewrite(&mut model, &PhaseContext::default());
         assert!(!stats.limit_exceeded);
         assert!(stats.removed_polynomials > 0);
         assert!(model.num_polynomials() < polys_before);
         // All tails now depend only on kept variables or primary inputs.
-        let keep = keep_set(&model, RewritingScheme::Fanout);
+        let keep = model.fanout_keep_set();
         for v in model.polynomial_order() {
             for u in model.tail(v).unwrap().vars() {
                 assert!(
@@ -747,8 +662,7 @@ mod tests {
         }
         let (a, b, s) = adder_vars(&nl, 3);
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, _) = reduce(&model, &spec);
         assert!(r.is_zero());
     }
 
@@ -758,7 +672,7 @@ mod tests {
     fn xor_rewriting_cancels_vanishing_monomials_on_prefix_adder() {
         let nl = build_adder(8, AdderKind::KoggeStone, false);
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let stats = xor_rewriting(&mut model, &RewriteConfig::default());
+        let stats = XorRewrite.rewrite(&mut model, &PhaseContext::default());
         assert!(!stats.limit_exceeded);
         assert!(
             stats.cancelled_vanishing > 0,
@@ -766,8 +680,7 @@ mod tests {
         );
         let (a, b, s) = adder_vars(&nl, 8);
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, _) = reduce(&model, &spec);
         assert!(r.is_zero());
     }
 
@@ -777,14 +690,15 @@ mod tests {
     #[test]
     fn ripple_carry_has_fewer_vanishing_monomials_than_kogge_stone() {
         let width = 8;
+        let ctx = PhaseContext::default();
         let rc = build_adder(width, AdderKind::RippleCarry, false);
         let mut rc_model = AlgebraicModel::from_netlist(&rc).unwrap();
-        let rc_stats = xor_rewriting(&mut rc_model, &RewriteConfig::default());
+        let rc_stats = XorRewrite.rewrite(&mut rc_model, &ctx);
         assert!(rc_stats.cancelled_vanishing <= width as u64);
 
         let ks = build_adder(width, AdderKind::KoggeStone, false);
         let mut ks_model = AlgebraicModel::from_netlist(&ks).unwrap();
-        let ks_stats = xor_rewriting(&mut ks_model, &RewriteConfig::default());
+        let ks_stats = XorRewrite.rewrite(&mut ks_model, &ctx);
         assert!(
             ks_stats.cancelled_vanishing > rc_stats.cancelled_vanishing,
             "Kogge-Stone ({}) must produce more vanishing monomials than ripple carry ({})",
@@ -797,7 +711,7 @@ mod tests {
     fn logic_reduction_rewriting_multiplier_verifies() {
         let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let stats = logic_reduction_rewriting(&mut model, &RewriteConfig::default());
+        let stats = LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
         assert!(!stats.limit_exceeded);
         let a: Vec<Var> = (0..4)
             .map(|i| Var(nl.find_net(&format!("a{i}")).unwrap().0))
@@ -807,8 +721,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = multiplier_spec(&a, &b, &s);
-        let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, _) = reduce(&model, &spec);
         let r = r.drop_multiples_of_pow2(8);
         assert!(r.is_zero(), "remainder: {}", model.render(&r));
     }
@@ -817,7 +730,7 @@ mod tests {
     fn rewriting_preserves_output_polynomials() {
         let nl = build_adder(4, AdderKind::BrentKung, false);
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        logic_reduction_rewriting(&mut model, &RewriteConfig::default());
+        LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
         for &out in model.outputs() {
             assert!(
                 model.tail(out).is_some(),
@@ -827,41 +740,52 @@ mod tests {
         }
     }
 
+    /// Every rewriting strategy reads `ctx.max_terms`: a 3-term limit stops
+    /// each one part-way.
     #[test]
     fn term_limit_marks_partial_rewrite() {
         let nl = MultiplierSpec::parse("SP-WT-KS", 8).unwrap().build();
-        let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let config = RewriteConfig {
+        let base = AlgebraicModel::from_netlist(&nl).unwrap();
+        let ctx = PhaseContext {
             max_terms: 3,
-            ..RewriteConfig::default()
+            ..PhaseContext::default()
         };
-        let stats = fanout_rewriting(&mut model, &config);
-        assert!(stats.limit_exceeded);
+        for rewriter in rewriters() {
+            let mut model = base.clone();
+            let stats = rewriter.rewrite(&mut model, &ctx);
+            assert!(stats.limit_exceeded, "{}", rewriter.name());
+        }
     }
 
+    /// Every rewriting strategy reads `ctx.token`: a cancelled token stops
+    /// each one before its first substitution.
     #[test]
     fn cancelled_token_aborts_rewriting() {
         let nl = MultiplierSpec::parse("SP-WT-KS", 6).unwrap().build();
-        let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let token = DeadlineToken::new();
-        token.cancel();
-        let config = RewriteConfig {
-            cancel: token,
-            ..RewriteConfig::default()
-        };
-        let stats = fanout_rewriting(&mut model, &config);
-        assert!(stats.limit_exceeded, "cancelled pass must stop early");
-        assert_eq!(stats.substitutions, 0);
+        let base = AlgebraicModel::from_netlist(&nl).unwrap();
+        let ctx = PhaseContext::default();
+        ctx.token.cancel();
+        for rewriter in rewriters() {
+            let mut model = base.clone();
+            let stats = rewriter.rewrite(&mut model, &ctx);
+            let name = rewriter.name();
+            assert!(
+                stats.limit_exceeded,
+                "{name}: cancelled pass must stop early"
+            );
+            assert_eq!(stats.substitutions, 0, "{name}");
+        }
     }
 
     #[test]
     fn common_rewriting_reduces_model_size() {
         let nl = MultiplierSpec::parse("SP-CT-BK", 4).unwrap().build();
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let config = RewriteConfig::default();
-        xor_rewriting(&mut model, &config);
+        let ctx = PhaseContext::default();
+        XorRewrite.rewrite(&mut model, &ctx);
         let before = model.num_polynomials();
-        common_rewriting(&mut model, &config);
+        let keep = model.common_keep_set();
+        gb_rewrite(&mut model, &keep, None, &ctx);
         assert!(model.num_polynomials() <= before);
     }
 
@@ -872,17 +796,11 @@ mod tests {
         // selects the tracker predicate, the byte-identical mode.
         let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
         let base = AlgebraicModel::from_netlist(&nl).unwrap();
-        let config = RewriteConfig {
-            rules: VanishingRules {
-                closure: false,
-                ..VanishingRules::default()
-            },
-            ..RewriteConfig::default()
-        };
+        let ctx = tracker_context(8);
         let mut oracle = base.clone();
-        logic_reduction_rewriting(&mut oracle, &config);
+        LogicReductionRewrite.rewrite(&mut oracle, &ctx);
         let mut indexed = base.clone();
-        let stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(8), None);
+        let stats = IndexedLogicReductionRewrite.rewrite(&mut indexed, &ctx);
         assert!(!stats.limit_exceeded);
         assert!(stats.index_hits > 0);
         assert!(stats.columns_retired > 0);
@@ -910,23 +828,14 @@ mod tests {
     fn closure_mode_rewriting_cancels_more_and_still_verifies() {
         let nl = MultiplierSpec::parse("SP-WT-KS", 4).unwrap().build();
         let base = AlgebraicModel::from_netlist(&nl).unwrap();
-        let tracker_config = RewriteConfig {
-            rules: VanishingRules {
-                closure: false,
-                ..VanishingRules::default()
-            },
-            ..RewriteConfig::default()
-        };
         let mut tracked = base.clone();
-        let t_stats =
-            indexed_logic_reduction_rewriting(&mut tracked, &tracker_config, Some(8), None);
+        let t_stats = IndexedLogicReductionRewrite.rewrite(&mut tracked, &tracker_context(8));
         let mut closed = base.clone();
-        let c_stats = indexed_logic_reduction_rewriting(
-            &mut closed,
-            &RewriteConfig::default(),
-            Some(8),
-            None,
-        );
+        let closure_ctx = PhaseContext {
+            modulus_bits: Some(8),
+            ..PhaseContext::default()
+        };
+        let c_stats = IndexedLogicReductionRewrite.rewrite(&mut closed, &closure_ctx);
         assert!(!t_stats.limit_exceeded && !c_stats.limit_exceeded);
         // Note: the cancellation *count* is not comparable across modes —
         // the closure kills residuals before their products ever form, so
@@ -953,8 +862,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = multiplier_spec(&a, &b, &s);
-        let (r, outcome, _) = GbReduction::default().reduce(&closed, &spec);
-        assert!(outcome.is_completed());
+        let (r, _) = reduce(&closed, &spec);
         assert!(
             r.drop_multiples_of_pow2(8).is_zero(),
             "closure-mode rewrite must preserve the verdict"
@@ -967,11 +875,12 @@ mod tests {
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
         let token = DeadlineToken::new();
         token.cancel();
-        let config = RewriteConfig {
-            cancel: token,
-            ..RewriteConfig::default()
+        let ctx = PhaseContext {
+            token,
+            modulus_bits: Some(12),
+            ..PhaseContext::default()
         };
-        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(12), None);
+        let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
         assert!(stats.limit_exceeded, "cancelled pass must stop early");
         assert_eq!(stats.substitutions, 0);
     }
@@ -980,11 +889,12 @@ mod tests {
     fn term_limit_marks_partial_indexed_rewrite() {
         let nl = MultiplierSpec::parse("SP-WT-KS", 8).unwrap().build();
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let config = RewriteConfig {
+        let ctx = PhaseContext {
             max_terms: 3,
-            ..RewriteConfig::default()
+            modulus_bits: Some(16),
+            ..PhaseContext::default()
         };
-        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(16), None);
+        let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
         assert!(stats.limit_exceeded);
     }
 
@@ -994,11 +904,12 @@ mod tests {
     fn indexed_rewrite_stops_inside_the_step() {
         let nl = MultiplierSpec::parse("BP-RT-KS", 8).unwrap().build();
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let config = RewriteConfig {
+        let ctx = PhaseContext {
             max_terms: 200,
-            ..RewriteConfig::default()
+            modulus_bits: Some(16),
+            ..PhaseContext::default()
         };
-        let stats = indexed_logic_reduction_rewriting(&mut model, &config, Some(16), None);
+        let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
         assert!(stats.limit_exceeded);
         assert_eq!(stats.peak_terms, 201);
     }

@@ -589,7 +589,7 @@ impl Session {
             None => self.budget.token(),
         };
         let ctx = PhaseContext {
-            budget: self.budget,
+            max_terms: self.budget.max_terms,
             token,
             rules: self.rules,
             modulus_bits: None,

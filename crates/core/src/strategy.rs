@@ -9,27 +9,47 @@
 //! them. New engines — column-wise spec reduction, alternative substitution
 //! orders — plug in as further implementations without touching the session
 //! driver.
+//!
+//! Each provided strategy is the only entry to its engine, and
+//! [`PhaseContext`] is the only configuration an engine reads: the session
+//! pipeline passes one to every phase, and a direct call of a strategy
+//! builds one by hand.
 
 use gbmv_poly::Polynomial;
 
 use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
-use crate::reduction::{GbReduction, ReductionOutcome, ReductionStats};
-use crate::rewrite::{
-    fanout_rewriting, indexed_logic_reduction_rewriting, logic_reduction_rewriting, xor_rewriting,
-    RewriteConfig, RewriteStats,
-};
-use crate::vanishing::{VanishingRules, VanishingTracker};
+use crate::reduction::{GreedyReduction, ReductionOutcome, ReductionStats};
+use crate::rewrite::{gb_rewrite, gb_rewrite_indexed, RewriteStats, RewriteVanishing};
+use crate::vanishing::{ClosureVanishing, VanishingRules, VanishingTracker};
 
-/// Everything a phase strategy needs to know about the run it executes in:
-/// the resource budget, the shared cancellation token, and the structural
-/// vanishing rules in force.
+/// Everything a phase strategy reads about the run it executes in, and the
+/// only configuration the provided engines have: the term limit, the
+/// cancellation token, the structural vanishing rules, and the run's
+/// modulus and spec weights.
+///
+/// [`crate::Session::run`] and [`crate::Portfolio`] fill it from their
+/// [`Budget`] (its deadline becomes the token) and the instantiated spec. A
+/// direct call of a strategy builds one by hand:
+///
+/// ```
+/// use gbmv_core::{AlgebraicModel, LogicReductionRewrite, PhaseContext, RewriteStrategy};
+/// use gbmv_genmul::MultiplierSpec;
+///
+/// let netlist = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
+/// let mut model = AlgebraicModel::from_netlist(&netlist)?;
+/// let stats = LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
+/// assert!(!stats.limit_exceeded);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct PhaseContext {
-    /// The resource budget of the run.
-    pub budget: Budget,
-    /// Shared cancellation token; strategies must poll it in their inner
-    /// loops (the provided implementations do).
+    /// Stop when any polynomial (a rewritten tail or the intermediate
+    /// remainder) passes this many terms: [`Budget::max_terms`] of the run.
+    pub max_terms: usize,
+    /// Shared cancellation token and the only clock: the run's
+    /// [`Budget::deadline`] turned into a deadline. Strategies must poll it
+    /// in their inner loops (the provided implementations do).
     pub token: DeadlineToken,
     /// The structural vanishing rules of the run.
     pub rules: VanishingRules,
@@ -38,7 +58,7 @@ pub struct PhaseContext {
     /// the indexed rewriter and reduction store canonical mod-`2^k`
     /// coefficients, the scan reduction drops multiples of `2^k`. The
     /// session pipeline installs it from the instantiated spec; a context
-    /// built by hand for a direct `reduce` call sets it itself.
+    /// built by hand for a direct call sets it itself.
     pub modulus_bits: Option<u32>,
     /// The spec weight `W(v)` of every variable, indexed by `Var::index`
     /// (see [`crate::rewrite::spec_weights`]), when the run has a modulus.
@@ -51,38 +71,17 @@ pub struct PhaseContext {
 }
 
 impl Default for PhaseContext {
+    /// The context of a default [`Budget`], with its clock started now, the
+    /// default rules, and no modulus.
     fn default() -> Self {
         let budget = Budget::default();
         PhaseContext {
-            budget,
+            max_terms: budget.max_terms,
             token: budget.token(),
             rules: VanishingRules::default(),
             modulus_bits: None,
             spec_weights: None,
         }
-    }
-}
-
-impl PhaseContext {
-    /// The rewrite configuration corresponding to this context (the token
-    /// is its clock).
-    pub fn rewrite_config(&self) -> RewriteConfig {
-        RewriteConfig {
-            rules: self.rules,
-            max_terms: self.budget.max_terms,
-            cancel: self.token.clone(),
-        }
-    }
-
-    /// A scan-based reduction engine honouring this context (the token is
-    /// its clock); [`Self::modulus_bits`] enables intermediate `mod 2^k`
-    /// coefficient dropping.
-    pub fn reduction_engine(&self) -> GbReduction {
-        let mut engine = GbReduction::new(self.budget.max_terms).with_token(self.token.clone());
-        if let Some(k) = self.modulus_bits {
-            engine = engine.with_modulus(k);
-        }
-        engine
     }
 }
 
@@ -132,7 +131,9 @@ impl RewriteStrategy for NoRewrite {
     }
 }
 
-/// Fanout rewriting — the MT-FO baseline of Farahmandi & Alizadeh.
+/// Fanout rewriting — the MT-FO baseline of Farahmandi & Alizadeh: the scan
+/// rewriter (Algorithm 2) against the keep-set of fanout variables and
+/// primary I/O ([`AlgebraicModel::fanout_keep_set`]), without vanishing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutRewrite;
 
@@ -142,12 +143,16 @@ impl RewriteStrategy for FanoutRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        fanout_rewriting(model, &ctx.rewrite_config())
+        let keep = model.fanout_keep_set();
+        gb_rewrite(model, &keep, None, ctx)
     }
 }
 
-/// XOR rewriting with the vanishing rules (the first half of MT-LR; the
-/// paper's ablation shows it is inefficient on its own).
+/// XOR rewriting — the first half of MT-LR: the scan rewriter against the
+/// keep-set of XOR inputs/outputs and primary I/O
+/// ([`AlgebraicModel::xor_keep_set`]), applying the vanishing rules of
+/// [`PhaseContext::rules`] after every substitution. The paper's ablation
+/// shows it is inefficient on its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct XorRewrite;
 
@@ -157,12 +162,17 @@ impl RewriteStrategy for XorRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        xor_rewriting(model, &ctx.rewrite_config())
+        let keep = model.xor_keep_set();
+        let mut tracker = VanishingTracker::new(model, ctx.rules);
+        gb_rewrite(model, &keep, Some(&mut tracker), ctx)
     }
 }
 
-/// Logic reduction rewriting (Algorithm 3): XOR rewriting with the vanishing
-/// rules followed by common rewriting — the paper's contribution.
+/// Logic reduction rewriting (Algorithm 3), the paper's contribution and
+/// the Step 2 of MT-LR: [`XorRewrite`], then, if it completed, common
+/// rewriting — the scan rewriter against the variables shared by more than
+/// one model polynomial and primary I/O
+/// ([`AlgebraicModel::common_keep_set`]), without vanishing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LogicReductionRewrite;
 
@@ -172,19 +182,35 @@ impl RewriteStrategy for LogicReductionRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        logic_reduction_rewriting(model, &ctx.rewrite_config())
+        let mut stats = XorRewrite.rewrite(model, ctx);
+        if !stats.limit_exceeded {
+            let keep = model.common_keep_set();
+            stats.merge(&gb_rewrite(model, &keep, None, ctx));
+        }
+        stats
     }
 }
 
-/// Logic reduction rewriting on the incrementally indexed term store (see
-/// [`indexed_logic_reduction_rewriting`]): in-place extraction through the
-/// inverted var→term index, vanishing cancellation applied *during* each
-/// substitution (the unit-propagation closure by default, the scan
-/// tracker's pattern rules — term-for-term identical post-rewrite models
-/// to [`LogicReductionRewrite`] modulo coefficient canonicalization — when
-/// `VanishingRules::closure` is off), and canonical coefficients modulo
-/// `2^(k - W(v))` from [`PhaseContext::modulus_bits`] and
-/// [`PhaseContext::spec_weights`] — the Step 2 of [`Method::MtLrPar`].
+/// Logic reduction rewriting on the incrementally indexed term store — the
+/// Step 2 of [`Method::MtLrPar`]: the XOR pass and the common pass of
+/// [`LogicReductionRewrite`], with the same keep-sets and candidate rule,
+/// but with each tail substituted in place through the inverted var→term
+/// index, vanishing products cancelled *during* each XOR-pass substitution,
+/// and coefficients kept canonical modulo `2^(k - W(v))` from
+/// [`PhaseContext::modulus_bits`] and [`PhaseContext::spec_weights`].
+///
+/// [`VanishingRules::closure`] selects the XOR pass's vanishing predicate:
+///
+/// * on (the default), the unit-propagation closure shared with the
+///   reduction engines. It cancels strictly more monomials than the scan
+///   tracker's patterns, so the rewritten model is smaller than
+///   [`LogicReductionRewrite`]'s yet reduces to the same remainder; this is
+///   what opens width 16+;
+/// * off, the scan tracker's pattern rules. Without spec weights the
+///   rewritten model is then [`LogicReductionRewrite`]'s term for term,
+///   modulo `2^k`; with them each tail is that tail modulo `2^(k - W(v))`.
+///   `tests/rewrite_equivalence.rs` pins both across every generator
+///   architecture.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedLogicReductionRewrite;
 
@@ -194,49 +220,19 @@ impl RewriteStrategy for IndexedLogicReductionRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        indexed_logic_reduction_rewriting(
-            model,
-            &ctx.rewrite_config(),
-            ctx.modulus_bits,
-            ctx.spec_weights.as_deref(),
-        )
-    }
-}
-
-/// The provided reduction strategy: greedy smallest-growth substitution order
-/// (see [`GbReduction::reduce`]), optionally re-applying the structural
-/// vanishing rules after every substitution.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyReduction {
-    /// Apply the vanishing rules during the reduction (required for the
-    /// logic-reduction methods; see [`GbReduction::reduce_with_vanishing`]).
-    pub vanishing: bool,
-}
-
-impl ReductionStrategy for GreedyReduction {
-    fn name(&self) -> &str {
-        if self.vanishing {
-            "greedy+vanishing"
+        let keep = model.xor_keep_set();
+        let mut stats = if ctx.rules.closure {
+            let closure = ClosureVanishing::new(model, ctx.rules);
+            gb_rewrite_indexed(model, &keep, Some(RewriteVanishing::closure(&closure)), ctx)
         } else {
-            "greedy"
+            let tracker = VanishingTracker::new(model, ctx.rules);
+            gb_rewrite_indexed(model, &keep, Some(RewriteVanishing::Tracker(&tracker)), ctx)
+        };
+        if !stats.limit_exceeded {
+            let keep = model.common_keep_set();
+            stats.merge(&gb_rewrite_indexed(model, &keep, None, ctx));
         }
-    }
-
-    fn reduce(
-        &self,
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-        ctx: &PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let engine = ctx.reduction_engine();
-        if self.vanishing {
-            // The gate-function index survives rewriting (only tails change),
-            // so the tracker can be built from the rewritten model.
-            let mut tracker = VanishingTracker::new(model, ctx.rules);
-            engine.reduce_with_vanishing(model, spec, &mut tracker)
-        } else {
-            engine.reduce(model, spec)
-        }
+        stats
     }
 }
 

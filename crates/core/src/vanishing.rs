@@ -177,11 +177,6 @@ impl VanishingTracker {
         self.cancelled += removed as u64;
         removed
     }
-
-    /// Exposes the XOR pairs index size, useful for reporting.
-    pub fn xor_gate_count(&self) -> usize {
-        self.xor_inputs.len()
-    }
 }
 
 /// Maximum number of propagated facts per variable closure; truncation only
@@ -846,13 +841,5 @@ mod tests {
         // alone are never flagged.
         assert!(flagged > 0);
         assert!(!closure.vanishes(&Monomial::from_vars(vec![a, b, c]), &mut s));
-    }
-
-    #[test]
-    fn xor_gate_count_reported() {
-        let (nl, ..) = xd_netlist();
-        let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let tracker = VanishingTracker::new(&model, VanishingRules::default());
-        assert_eq!(tracker.xor_gate_count(), 1);
     }
 }

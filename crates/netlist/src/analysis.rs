@@ -5,9 +5,8 @@
 //! algebraic verifier: variables are ordered by *reverse topological level*
 //! and the rewriting keep-sets are derived from fanout counts and gate kinds.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use crate::gate::GateKind;
 use crate::netlist::{NetId, Netlist};
 
 /// Computes a topological order of all nets (inputs first, outputs last).
@@ -107,16 +106,6 @@ pub fn fanout_counts(netlist: &Netlist) -> Vec<usize> {
     counts
 }
 
-/// Returns the set of nets with fanout greater than one.
-pub fn multi_fanout_nets(netlist: &Netlist) -> HashSet<NetId> {
-    fanout_counts(netlist)
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 1)
-        .map(|(i, _)| NetId(i as u32))
-        .collect()
-}
-
 /// Computes the transitive fan-in cone of `roots`: every net on a path from a
 /// primary input (or constant) to any of the roots, including the roots.
 pub fn fanin_cone(netlist: &Netlist, roots: &[NetId]) -> HashSet<NetId> {
@@ -135,24 +124,6 @@ pub fn fanin_cone(netlist: &Netlist, roots: &[NetId]) -> HashSet<NetId> {
         }
     }
     cone
-}
-
-/// Returns the primary-input support of `roots` (the primary inputs inside
-/// the fan-in cone).
-pub fn input_support(netlist: &Netlist, roots: &[NetId]) -> HashSet<NetId> {
-    fanin_cone(netlist, roots)
-        .into_iter()
-        .filter(|&n| netlist.is_input(n))
-        .collect()
-}
-
-/// Per-gate-kind histogram, useful for reporting circuit statistics.
-pub fn gate_histogram(netlist: &Netlist) -> HashMap<GateKind, usize> {
-    let mut hist = HashMap::new();
-    for gate in netlist.gates() {
-        *hist.entry(gate.kind).or_insert(0) += 1;
-    }
-    hist
 }
 
 /// The depth of the circuit: the maximum logic level over the primary outputs.
@@ -219,10 +190,6 @@ mod tests {
         assert_eq!(counts[x.index()], 2);
         assert_eq!(counts[a.index()], 2);
         assert_eq!(counts[z.index()], 1);
-        let multi = multi_fanout_nets(&nl);
-        assert!(multi.contains(&x));
-        assert!(multi.contains(&a));
-        assert!(!multi.contains(&z));
     }
 
     #[test]
@@ -231,16 +198,6 @@ mod tests {
         let z = nl.find_net("z").unwrap();
         let cone = fanin_cone(&nl, &[z]);
         assert_eq!(cone.len(), 5);
-        let support = input_support(&nl, &[nl.find_net("ab").unwrap()]);
-        assert_eq!(support.len(), 2);
-    }
-
-    #[test]
-    fn histogram_counts_kinds() {
-        let nl = two_level();
-        let hist = gate_histogram(&nl);
-        assert_eq!(hist[&GateKind::And], 1);
-        assert_eq!(hist[&GateKind::Or], 1);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl Netlist {
         &self.outputs
     }
 
-    /// The nets of the primary outputs in declaration order.
-    pub fn output_nets(&self) -> Vec<NetId> {
-        self.outputs.iter().map(|(_, n)| *n).collect()
-    }
-
     /// All gates in insertion order.
     pub fn gates(&self) -> &[Gate] {
         &self.gates

@@ -72,7 +72,7 @@ pub mod spec;
 pub use indexed::IndexedPolynomial;
 pub use int::Int;
 pub use monomial::{Monomial, Var, INLINE_VARS};
-pub use polynomial::{Polynomial, TermDelta};
+pub use polynomial::Polynomial;
 
 /// A `HashMap` keyed by the fast `ahash` hasher; use for every map on a hot
 /// path (term tables, model indices).

@@ -39,16 +39,6 @@ pub struct Polynomial {
     terms: FastMap<Monomial, Int>,
 }
 
-/// A change to the set of monomials stored in a [`Polynomial`], reported by
-/// [`Polynomial::add_term_observed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TermDelta {
-    /// A new `(monomial, coefficient)` entry was created.
-    Inserted,
-    /// An existing entry's coefficient summed to zero and was removed.
-    Cancelled,
-}
-
 impl Polynomial {
     /// The zero polynomial.
     pub fn zero() -> Self {
@@ -149,38 +139,6 @@ impl Polynomial {
                 let sum = e.get_mut();
                 *sum += &coeff;
                 if sum.is_zero() {
-                    e.remove();
-                }
-            }
-        }
-    }
-
-    /// Like [`Polynomial::add_term`], but reports changes to the set of
-    /// stored monomials through `observe`, which receives the affected
-    /// monomial *by reference* (no clone) together with what happened to it.
-    /// Callers that maintain side indices over the terms (e.g. the
-    /// per-variable occurrence counts of the parallel reduction engine) use
-    /// the callback to update them incrementally instead of rescanning;
-    /// `observe` is not called when only a coefficient changed.
-    pub fn add_term_observed(
-        &mut self,
-        monomial: Monomial,
-        coeff: Int,
-        mut observe: impl FnMut(TermDelta, &Monomial),
-    ) {
-        if coeff.is_zero() {
-            return;
-        }
-        match self.terms.entry(monomial) {
-            Entry::Vacant(e) => {
-                observe(TermDelta::Inserted, e.key());
-                e.insert(coeff);
-            }
-            Entry::Occupied(mut e) => {
-                let sum = e.get_mut();
-                *sum += &coeff;
-                if sum.is_zero() {
-                    observe(TermDelta::Cancelled, e.key());
                     e.remove();
                 }
             }
@@ -320,28 +278,6 @@ impl Polynomial {
     pub fn retain_terms<F: FnMut(&Monomial) -> bool>(&mut self, mut keep: F) -> usize {
         let before = self.terms.len();
         self.terms.retain(|m, _| keep(m));
-        before - self.terms.len()
-    }
-
-    /// Like [`Polynomial::retain_terms`] but deciding on the full
-    /// `(monomial, coefficient)` pair and reporting every removed monomial
-    /// through `on_remove`, so callers maintaining side indices (occurrence
-    /// counts) can update them incrementally. Returns the number of removed
-    /// terms.
-    pub fn retain_terms_where(
-        &mut self,
-        mut keep: impl FnMut(&Monomial, &Int) -> bool,
-        mut on_remove: impl FnMut(&Monomial),
-    ) -> usize {
-        let before = self.terms.len();
-        self.terms.retain(|m, c| {
-            if keep(m, c) {
-                true
-            } else {
-                on_remove(m);
-                false
-            }
-        });
         before - self.terms.len()
     }
 

@@ -5,19 +5,27 @@
 //! Run with `cargo run --release --example paper_walkthrough`.
 
 use gbmv::core::{
-    reduction::GbReduction,
-    rewrite::{fanout_rewriting, xor_rewriting, RewriteConfig},
-    AlgebraicModel,
+    AlgebraicModel, FanoutRewrite, GreedyReduction, PhaseContext, ReductionOutcome, ReductionStats,
+    ReductionStrategy, RewriteStrategy, XorRewrite,
 };
 use gbmv::genmul::{build_adder, AdderKind};
 use gbmv::netlist::Netlist;
 use gbmv::poly::spec::{adder_spec, full_adder_spec};
-use gbmv::poly::Var;
+use gbmv::poly::{Polynomial, Var};
 
 fn main() {
     example1_full_adder();
     example2_ripple_carry_fanout_rewriting();
     example3_parallel_prefix_vanishing_monomials();
+}
+
+/// Algorithm 1 on its own: the scan reduction, without vanishing or
+/// modulus, called directly with a default context.
+fn reduce(
+    model: &AlgebraicModel,
+    spec: &Polynomial,
+) -> (Polynomial, ReductionOutcome, ReductionStats) {
+    GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default())
 }
 
 /// Example 1: the full adder of Fig. 1 — model extraction and GB reduction of
@@ -47,7 +55,7 @@ fn example1_full_adder() {
     }
     let spec = full_adder_spec(Var(a.0), Var(b.0), Var(cin.0), Var(s.0), Var(c.0));
     println!("specification: {}", model.render(&spec));
-    let (r, outcome, stats) = GbReduction::default().reduce(&model, &spec);
+    let (r, outcome, stats) = reduce(&model, &spec);
     println!(
         "reduction: {:?} after {} substitutions, remainder = {}",
         outcome,
@@ -66,7 +74,7 @@ fn example2_ripple_carry_fanout_rewriting() {
     let nl = build_adder(3, AdderKind::RippleCarry, false);
     let mut model = AlgebraicModel::from_netlist(&nl).expect("acyclic");
     let before = model.num_polynomials();
-    let stats = fanout_rewriting(&mut model, &RewriteConfig::default());
+    let stats = FanoutRewrite.rewrite(&mut model, &PhaseContext::default());
     println!(
         "fanout rewriting: {} -> {} polynomials ({} substitutions)",
         before,
@@ -88,7 +96,7 @@ fn example2_ripple_carry_fanout_rewriting() {
         .collect();
     let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
     let spec = adder_spec(&a, &b, &s, None);
-    let (r, outcome, rstats) = GbReduction::default().reduce(&model, &spec);
+    let (r, outcome, rstats) = reduce(&model, &spec);
     println!(
         "reduction: {:?}, peak intermediate terms = {}, remainder = {}",
         outcome,
@@ -107,7 +115,7 @@ fn example3_parallel_prefix_vanishing_monomials() {
     for width in [4, 8, 16] {
         let nl = build_adder(width, AdderKind::KoggeStone, false);
         let mut model = AlgebraicModel::from_netlist(&nl).expect("acyclic");
-        let stats = xor_rewriting(&mut model, &RewriteConfig::default());
+        let stats = XorRewrite.rewrite(&mut model, &PhaseContext::default());
         let a: Vec<Var> = (0..width)
             .map(|i| Var(nl.find_net(&format!("a{i}")).expect("input").0))
             .collect();
@@ -116,7 +124,7 @@ fn example3_parallel_prefix_vanishing_monomials() {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, rstats) = GbReduction::default().reduce(&model, &spec);
+        let (r, outcome, rstats) = reduce(&model, &spec);
         println!(
             "  width {width:>2}: cancelled vanishing monomials = {:>5}, peak terms = {:>6}, {:?}, remainder zero = {}",
             stats.cancelled_vanishing,

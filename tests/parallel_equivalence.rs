@@ -8,7 +8,10 @@
 //! against the scan rewriter. Per circuit the scan-based MT-LR pipeline runs
 //! once, and `MT-LR-PAR`, in its default closure mode, runs once and must
 //! reproduce the oracle's verdict, canonical remainder term count and
-//! grounded counterexample bit for bit.
+//! grounded counterexample bit for bit. On the width-4 circuits and the
+//! mutants, `MT-LR-PAR` also runs with `VanishingRules { closure: false, .. }`
+//! (its Step 2 then cancels with the scan tracker's patterns) and must match
+//! the same reference: MT-LR ignores the flag.
 //!
 //! The comparison is exact: the pipeline canonicalizes remainders modulo
 //! `2^(2n)`, and the fully reduced remainder is the unique multilinear normal
@@ -25,18 +28,29 @@ mod common;
 use std::time::Duration;
 
 use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
-use gbmv::core::Phase;
+use gbmv::core::{Phase, VanishingRules};
 use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
 use gbmv::poly::{Int, Monomial, Polynomial};
 use gbmv::{Budget, DeadlineToken, Method, Outcome, Report, Session, Spec};
 
 fn run(netlist: &Netlist, width: usize, method: Method, budget: Budget) -> Report {
+    run_with_rules(netlist, width, method, budget, VanishingRules::default())
+}
+
+fn run_with_rules(
+    netlist: &Netlist,
+    width: usize,
+    method: Method,
+    budget: Budget,
+    rules: VanishingRules,
+) -> Report {
     Session::extract(netlist)
         .expect("acyclic")
         .spec(Spec::multiplier(width))
         .strategy(method)
         .budget(budget)
+        .rules(rules)
         .run()
         .expect("interface")
 }
@@ -98,6 +112,17 @@ fn check_against_oracle(netlist: &Netlist, width: usize, budget: Budget) -> Repo
     reference
 }
 
+/// `MT-LR-PAR` with `closure: false` against the MT-LR reference already
+/// computed for the circuit.
+fn check_closure_off(netlist: &Netlist, width: usize, budget: Budget, reference: &Report) {
+    let rules = VanishingRules {
+        closure: false,
+        ..VanishingRules::default()
+    };
+    let par = run_with_rules(netlist, width, Method::MtLrPar, budget, rules);
+    assert_outcome_matches(netlist, reference, &par, "MT-LR-PAR, closure off");
+}
+
 /// Every genmul architecture at width 4.
 #[test]
 fn every_architecture_width_4_matches_mt_lr() {
@@ -112,6 +137,7 @@ fn every_architecture_width_4_matches_mt_lr() {
             "{arch}: MT-LR must verify at width 4, got {:?}",
             reference.outcome
         );
+        check_closure_off(&netlist, 4, budget, &reference);
     }
 }
 
@@ -144,6 +170,7 @@ fn fault_injected_variants_produce_identical_counterexamples() {
     let budget = Budget::default();
     for (arch, mutant) in fault_injected_mutants(width) {
         let reference = check_against_oracle(&mutant, width, budget);
+        check_closure_off(&mutant, width, budget, &reference);
         let Outcome::Mismatch { counterexample, .. } = &reference.outcome else {
             panic!(
                 "{arch}: mutant must be rejected, got {:?}",

@@ -1,14 +1,16 @@
 //! Differential harness for the indexed rewriting engine: the Step-2 rewrite
 //! on the incrementally indexed term store
-//! (`indexed_logic_reduction_rewriting`, the rewriter of `MT-LR-PAR`) must
+//! (`IndexedLogicReductionRewrite`, the rewriter of `MT-LR-PAR`) must
 //! produce **term-for-term identical post-rewrite models** to the scan-based
-//! `logic_reduction_rewriting` oracle across every genmul architecture at
+//! `LogicReductionRewrite` oracle across every genmul architecture at
 //! width 4, the paper's ten architectures at widths 5–6, and fault-injected
 //! mutants. `tests/parallel_equivalence.rs` pins the full pipeline's verdicts
 //! on the same circuits against the MT-LR oracle; this file runs no full
 //! pipeline, so each oracle result is computed once, there.
 //!
-//! The byte-identity comparison runs the indexed engine in its **tracker
+//! Both strategies run through their `RewriteStrategy` entry, under one
+//! `PhaseContext` with `closure: false` and `modulus_bits: Some(2n)`. The
+//! byte-identity comparison thus runs the indexed engine in its **tracker
 //! mode** (`VanishingRules { closure: false, .. }`): the same static
 //! per-monomial pattern test as the oracle's tracker, judged at insertion
 //! instead of by post-step sweeps. Both sides' coefficients are
@@ -21,8 +23,9 @@
 //! bit-identical.
 //!
 //! The same circuits also pin the **spec-weighted** tails that `MT-LR-PAR`
-//! builds: with the weights `W(v)` of `spec_weights`, the indexed engine keeps
-//! the tail of `v` modulo `2^(2n - W(v))` only. That run must keep the
+//! builds: with the weights `W(v)` of `spec_weights` in the context's
+//! `spec_weights`, the indexed engine keeps the tail of `v` modulo
+//! `2^(2n - W(v))` only. That run must keep the
 //! oracle's polynomial set, and every tail must equal the oracle's tail
 //! reduced modulo `2^(2n - W(v))`.
 //!
@@ -34,10 +37,11 @@ mod common;
 use std::time::Duration;
 
 use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
-use gbmv::core::rewrite::{
-    indexed_logic_reduction_rewriting, logic_reduction_rewriting, spec_weights, RewriteConfig,
+use gbmv::core::rewrite::spec_weights;
+use gbmv::core::{
+    AlgebraicModel, IndexedLogicReductionRewrite, LogicReductionRewrite, Phase, PhaseContext,
+    Progress, RewriteStrategy, VanishingRules,
 };
-use gbmv::core::{AlgebraicModel, Phase, Progress, VanishingRules};
 use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
 use gbmv::poly::{Int, Monomial, Polynomial};
@@ -50,8 +54,8 @@ fn sorted_terms(p: &Polynomial) -> Vec<(Monomial, Int)> {
 }
 
 /// Rewrites one copy of the model with the scan-based oracle and two with
-/// the indexed engine in tracker mode, one with uniform `2^(2n)` moduli and
-/// one with spec-weighted moduli. The uniform run must be bit-identical to
+/// the indexed engine in tracker mode, one under a context with uniform
+/// `2^(2n)` moduli and one under the same context with spec weights. The uniform run must be bit-identical to
 /// the oracle: the same surviving polynomial set and, per polynomial, the
 /// same sorted term dump after canonicalizing both sides modulo `2^(2n)`.
 /// The weighted run must keep the same polynomial set, with every tail
@@ -63,22 +67,26 @@ fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
         .expect("multiplier interface");
     let k = modulus.expect("multipliers have a modulus");
     let weights = spec_weights(&base, &spec, k);
-    // The oracle ignores the `closure` flag; only the indexed engine
-    // switches on it.
-    let config = RewriteConfig {
+    // The oracle ignores the `closure` flag, the modulus and the weights;
+    // only the indexed engine reads them.
+    let uniform = PhaseContext {
         rules: VanishingRules {
             closure: false,
             ..VanishingRules::default()
         },
-        ..RewriteConfig::default()
+        modulus_bits: Some(k),
+        ..PhaseContext::default()
+    };
+    let spec_weighted = PhaseContext {
+        spec_weights: Some(weights.clone()),
+        ..uniform.clone()
     };
     let mut oracle = base.clone();
-    let o_stats = logic_reduction_rewriting(&mut oracle, &config);
+    let o_stats = LogicReductionRewrite.rewrite(&mut oracle, &uniform);
     let mut indexed = base.clone();
-    let i_stats = indexed_logic_reduction_rewriting(&mut indexed, &config, Some(k), None);
+    let i_stats = IndexedLogicReductionRewrite.rewrite(&mut indexed, &uniform);
     let mut weighted = base.clone();
-    let w_stats =
-        indexed_logic_reduction_rewriting(&mut weighted, &config, Some(k), Some(&weights));
+    let w_stats = IndexedLogicReductionRewrite.rewrite(&mut weighted, &spec_weighted);
     assert!(
         !o_stats.limit_exceeded && !i_stats.limit_exceeded && !w_stats.limit_exceeded,
         "{} width {width}: all three rewrites must complete",

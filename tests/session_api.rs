@@ -47,7 +47,7 @@ impl ReductionStrategy for TopoReduction {
                 r.retain_non_multiples_of_pow2(k);
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if r.num_terms() > ctx.budget.max_terms {
+            if r.num_terms() > ctx.max_terms {
                 let terms = r.num_terms();
                 return (r, ReductionOutcome::LimitExceeded { terms }, stats);
             }
