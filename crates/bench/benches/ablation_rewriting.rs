@@ -1,6 +1,6 @@
 //! Ablation bench: the cost of the individual rewriting schemes (fanout, XOR,
-//! XOR+common) on the same circuit, plus MT-LR with the vanishing rules
-//! disabled. Complements the `ablation` binary.
+//! XOR+common) on the same circuit, plus MT-LR with logic reduction off
+//! (`VanishingRules::Off`). Complements the `ablation` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbmv_core::{
@@ -49,7 +49,7 @@ fn bench_rewriting_schemes(c: &mut Criterion) {
             b.iter(|| {
                 let mut model = m.clone();
                 let ctx = PhaseContext {
-                    rules: VanishingRules::none(),
+                    rules: VanishingRules::Off,
                     ..PhaseContext::default()
                 };
                 LogicReductionRewrite.rewrite(&mut model, &ctx);

@@ -3,8 +3,9 @@
 //!
 //! For each architecture the run time of four configurations is reported:
 //! MT-FO (baseline), MT-XOR (XOR rewriting only, which the paper argues is
-//! inefficient on its own), MT-LR without the vanishing rules, and the full
-//! MT-LR — each a `Session` run with the strategy (or rule set) swapped.
+//! inefficient on its own), MT-LR with logic reduction off
+//! (`VanishingRules::Off`), and the full MT-LR — each a `Session` run with
+//! the strategy (or vanishing mode) swapped.
 
 use gbmv_bench::{build_architecture, format_duration, HarnessConfig};
 use gbmv_core::{Method, Outcome, Session, Spec, VanishingRules};
@@ -36,7 +37,7 @@ fn run(
 fn main() {
     let config = HarnessConfig::from_env();
     let rules = VanishingRules::default();
-    let no_rules = VanishingRules::none();
+    let no_rules = VanishingRules::Off;
     println!("Ablation: rewriting schemes and vanishing rules");
     println!(
         "{:<12} {:>5} {:>14} {:>14} {:>16} {:>14}",

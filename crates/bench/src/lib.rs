@@ -17,6 +17,11 @@
 //!   (default `200000`).
 //! * `GBMV_ARCHS` — comma-separated architecture names; when set, a table
 //!   binary only runs the listed architectures (default: all of its table).
+//!
+//! An unset or empty variable keeps its default. Any other value must parse
+//! in full: a width, timeout, term limit or conflict budget that is not a
+//! number, or an unknown architecture name, stops the binary with an error
+//! that names the variable and its value.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -28,7 +33,7 @@ use gbmv_core::{
 use gbmv_genmul::MultiplierSpec;
 
 /// Run-time configuration of the table binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessConfig {
     /// Operand widths to sweep.
     pub widths: Vec<usize>,
@@ -54,47 +59,71 @@ impl Default for HarnessConfig {
     }
 }
 
+/// The value of the variable `name` parsed by `parse`: `None` when it is
+/// unset or empty, an error naming it and its value when `parse` rejects it.
+fn parse_var<T>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    expected: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match var(name).filter(|v| !v.trim().is_empty()) {
+        None => Ok(None),
+        Some(value) => parse(value.trim())
+            .map(Some)
+            .ok_or_else(|| format!("{name}={value:?}: expected {expected}")),
+    }
+}
+
+/// Parses every item of a comma-separated list, or none.
+fn parse_list<T>(value: &str, item: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
+    value.split(',').map(|x| item(x.trim())).collect()
+}
+
 impl HarnessConfig {
-    /// Reads the configuration from the `GBMV_*` environment variables,
-    /// falling back to the defaults.
+    /// Reads the configuration from the `GBMV_*` environment variables (see
+    /// the crate docs). Prints the offending variable and its value, and
+    /// exits the process with status 2, when a value does not parse.
     pub fn from_env() -> Self {
-        let mut config = HarnessConfig::default();
-        if let Ok(widths) = std::env::var("GBMV_WIDTHS") {
-            let parsed: Vec<usize> = widths
-                .split(',')
-                .filter_map(|w| w.trim().parse().ok())
-                .collect();
-            if !parsed.is_empty() {
-                config.widths = parsed;
-            }
-        }
-        if let Ok(secs) = std::env::var("GBMV_TIMEOUT_SECS") {
-            if let Ok(secs) = secs.trim().parse::<u64>() {
-                config.timeout = Duration::from_secs(secs);
-            }
-        }
-        if let Ok(terms) = std::env::var("GBMV_MAX_TERMS") {
-            if let Ok(terms) = terms.trim().parse::<usize>() {
-                config.max_terms = terms;
-            }
-        }
-        if let Ok(conflicts) = std::env::var("GBMV_CEC_CONFLICTS") {
-            if let Ok(conflicts) = conflicts.trim().parse::<u64>() {
-                config.cec_conflicts = conflicts;
-            }
-        }
-        if let Ok(archs) = std::env::var("GBMV_ARCHS") {
-            let parsed: Vec<String> = archs
-                .split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(str::to_string)
-                .collect();
-            if !parsed.is_empty() {
-                config.archs = Some(parsed);
-            }
-        }
-        config
+        let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        HarnessConfig::from_vars(var).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Reads the configuration through `var`, which maps a `GBMV_*` name to
+    /// its value. An unset or empty variable keeps its default; any other
+    /// value must parse in full, and every `GBMV_ARCHS` name must be an
+    /// architecture [`MultiplierSpec::parse`] knows.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let defaults = HarnessConfig::default();
+        let width = |w: &str| w.parse().ok().filter(|&w: &usize| w > 0);
+        // The name check ignores the width.
+        let arch = |a: &str| MultiplierSpec::parse(a, 1).map(|_| a.to_string());
+        Ok(HarnessConfig {
+            widths: parse_var(
+                &var,
+                "GBMV_WIDTHS",
+                "positive widths, comma-separated",
+                |v| parse_list(v, width),
+            )?
+            .unwrap_or(defaults.widths),
+            timeout: parse_var(&var, "GBMV_TIMEOUT_SECS", "whole seconds", |v| {
+                v.parse().ok()
+            })?
+            .map_or(defaults.timeout, Duration::from_secs),
+            max_terms: parse_var(&var, "GBMV_MAX_TERMS", "a term count", |v| v.parse().ok())?
+                .unwrap_or(defaults.max_terms),
+            cec_conflicts: parse_var(&var, "GBMV_CEC_CONFLICTS", "a conflict count", |v| {
+                v.parse().ok()
+            })?
+            .unwrap_or(defaults.cec_conflicts),
+            archs: parse_var(&var, "GBMV_ARCHS", "architectures, comma-separated", |v| {
+                parse_list(v, arch)
+            })?
+            .or(defaults.archs),
+        })
     }
 
     /// Whether this configuration selects `arch` (true unless `GBMV_ARCHS`
@@ -528,5 +557,69 @@ mod tests {
         assert_eq!(config.widths, vec![8, 16]);
         assert!(config.timeout >= Duration::from_secs(1));
         assert_eq!(config.budget().max_terms, config.max_terms);
+    }
+
+    /// A variable lookup over fixed `(name, value)` pairs.
+    fn vars<'a>(pairs: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn unset_and_empty_variables_keep_the_defaults() {
+        let defaults = HarnessConfig::default();
+        assert_eq!(HarnessConfig::from_vars(vars(&[])), Ok(defaults.clone()));
+        let empty = [
+            ("GBMV_WIDTHS", ""),
+            ("GBMV_TIMEOUT_SECS", " "),
+            ("GBMV_MAX_TERMS", ""),
+            ("GBMV_CEC_CONFLICTS", ""),
+            ("GBMV_ARCHS", ""),
+        ];
+        assert_eq!(HarnessConfig::from_vars(vars(&empty)), Ok(defaults));
+    }
+
+    #[test]
+    fn valid_values_parse_in_full() {
+        let config = HarnessConfig::from_vars(vars(&[
+            ("GBMV_WIDTHS", " 4, 16"),
+            ("GBMV_TIMEOUT_SECS", "5"),
+            ("GBMV_MAX_TERMS", "2000000"),
+            ("GBMV_CEC_CONFLICTS", "1000"),
+            ("GBMV_ARCHS", "SP-AR-RC, BP-RT-KS"),
+        ]))
+        .unwrap();
+        assert_eq!(
+            config,
+            HarnessConfig {
+                widths: vec![4, 16],
+                timeout: Duration::from_secs(5),
+                max_terms: 2_000_000,
+                cec_conflicts: 1000,
+                archs: Some(vec!["SP-AR-RC".to_string(), "BP-RT-KS".to_string()]),
+            }
+        );
+    }
+
+    #[test]
+    fn garbage_values_name_the_variable() {
+        for (name, value) in [
+            ("GBMV_WIDTHS", "abc"),
+            ("GBMV_WIDTHS", "8,x"),
+            ("GBMV_WIDTHS", "8,"),
+            ("GBMV_WIDTHS", "0"),
+            ("GBMV_TIMEOUT_SECS", "1.5"),
+            ("GBMV_MAX_TERMS", "oops"),
+            ("GBMV_CEC_CONFLICTS", "-1"),
+            ("GBMV_ARCHS", "NOPE"),
+            ("GBMV_ARCHS", "SP-AR-RC,sp-ar-rc"),
+        ] {
+            let err = HarnessConfig::from_vars(vars(&[(name, value)])).unwrap_err();
+            assert!(err.starts_with(&format!("{name}={value:?}")), "{err}");
+        }
     }
 }

@@ -84,23 +84,23 @@ impl std::fmt::Display for Counterexample {
 }
 
 /// Builds a [`Counterexample`] from a concrete assignment of the primary
-/// inputs (declaration order), grounding the output words by evaluating the
-/// pristine model.
+/// inputs (declaration order), naming the bits and grounding the output
+/// words from the pristine model, and the operand and expected words from
+/// `spec`.
 pub(crate) fn ground_assignment(
     model: &AlgebraicModel,
-    input_names: &[String],
-    spec: Option<&Spec>,
+    spec: &Spec,
     values: &[bool],
 ) -> Counterexample {
-    let inputs: Vec<InputBit> = input_names
+    let model_inputs = model.inputs();
+    let inputs: Vec<InputBit> = model_inputs
         .iter()
         .zip(values)
-        .map(|(name, &value)| InputBit {
-            name: name.clone(),
+        .map(|(&v, &value)| InputBit {
+            name: model.name(v).to_string(),
             value,
         })
         .collect();
-    let model_inputs = model.inputs();
     let assignment = |v: Var| {
         model_inputs
             .iter()
@@ -119,15 +119,11 @@ pub(crate) fn ground_assignment(
     } else {
         None
     };
-    let (operands, expected_word) = match spec {
-        Some(s) => (s.operand_words(values), s.expected_word(values)),
-        None => (Vec::new(), None),
-    };
     Counterexample {
         inputs,
-        operands,
+        operands: spec.operand_words(values),
         circuit_word,
-        expected_word,
+        expected_word: spec.expected_word(values),
     }
 }
 

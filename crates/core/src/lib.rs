@@ -32,8 +32,8 @@
 //!
 //! Each provided strategy is the only entry to its engine, and a
 //! [`PhaseContext`] is the only configuration an engine reads: the term
-//! limit, the cancellation token, the vanishing rules, the modulus and the
-//! spec weights of the run.
+//! limit, the cancellation token, the vanishing mode ([`VanishingRules`]),
+//! the modulus and the spec weights of the run.
 //!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom

@@ -16,9 +16,11 @@
 //!   column's terms never re-enter the hot path). Greedy ties break toward
 //!   the lowest output column, so low columns retire early.
 //! * Vanishing is checked on newly created monomials only, through the
+//!   predicate of the run's [`crate::VanishingRules`]: by default the
 //!   unit-propagation closure index ([`crate::ClosureVanishing`]), which
-//!   covers the paper's XOR-AND/NOR patterns as well as deeper
-//!   XOR-chain/majority contradictions.
+//!   covers both forms of the paper's XOR-AND rule as well as deeper
+//!   XOR-chain/majority contradictions; in `XorAnd` mode the
+//!   [`crate::VanishingTracker`] of the scan engines; in `Off` mode none.
 //! * The term budget holds inside a step: a step stops as soon as the store
 //!   size after its extraction plus the products it has emitted passes
 //!   [`PhaseContext::max_terms`], so the store never outgrows the budget.
@@ -27,7 +29,7 @@
 //! with the Step-2 rewriter of [`crate::IndexedLogicReductionRewrite`].
 //! Integer term arithmetic is exact, so canonical remainders, verdicts and
 //! counterexamples equal the scan-based engine's. The engine reads its term
-//! limit, token, vanishing rules and modulus from the [`PhaseContext`]
+//! limit, token, vanishing mode and modulus from the [`PhaseContext`]
 //! alone; it polls [`PhaseContext::token`], and a cancellation or deadline
 //! expiry stops the step at its next polling point.
 
@@ -39,12 +41,10 @@ use crate::model::AlgebraicModel;
 use crate::reduction::{ReductionOutcome, ReductionStats};
 use crate::rewrite::{substitute_step, RewriteVanishing};
 use crate::strategy::{PhaseContext, ReductionStrategy};
-use crate::vanishing::ClosureVanishing;
 
 /// The [`ReductionStrategy`] of the preset [`crate::Method::MtLrPar`]: the
 /// indexed engine of the module docs. Vanishing follows the run's
-/// [`crate::VanishingRules`] alone: with every rule off, no product is
-/// cancelled.
+/// [`crate::VanishingRules`] alone: in `Off` mode no product is cancelled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelReduction;
 
@@ -62,11 +62,9 @@ impl ReductionStrategy for ParallelReduction {
         let start = Instant::now();
         let max_terms = ctx.max_terms;
         let mut stats = ReductionStats::default();
-        let closure =
-            Some(ClosureVanishing::new(model, ctx.rules)).filter(ClosureVanishing::enabled);
-        let mut vanishing = closure.as_ref().map(RewriteVanishing::closure);
+        let mut vanishing = RewriteVanishing::new(model, ctx.rules);
 
-        // The vanishing rules are applied to the incoming spec once;
+        // The vanishing predicate is applied to the incoming spec once;
         // afterwards only newly created monomials can vanish (the property is
         // static per monomial), so surviving terms are never re-checked.
         let mut initial = spec.clone();

@@ -23,7 +23,7 @@ use gbmv_sat::{check_against_product_with, EquivalenceResult};
 use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::ground_assignment;
 use crate::model::{AlgebraicModel, ExtractError};
-use crate::session::{run_pipeline, CexContext, Outcome, Phase, Progress, RunStats, SessionError};
+use crate::session::{run_pipeline, Outcome, Phase, Progress, RunStats, SessionError};
 use crate::spec::Spec;
 use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
 use crate::vanishing::VanishingRules;
@@ -104,7 +104,6 @@ impl PortfolioReport {
 pub struct Portfolio {
     netlist: Netlist,
     model: AlgebraicModel,
-    input_names: Vec<String>,
     spec: Option<Spec>,
     rules: VanishingRules,
     budget: Budget,
@@ -133,11 +132,9 @@ impl Portfolio {
     /// Extracts the algebraic model of the netlist once for all strategies.
     /// The netlist is retained (cloned) for the SAT miter baseline.
     pub fn extract(netlist: &Netlist) -> Result<Portfolio, ExtractError> {
-        let (model, input_names) = crate::session::extract_model(netlist)?;
         Ok(Portfolio {
             netlist: netlist.clone(),
-            model,
-            input_names,
+            model: AlgebraicModel::from_netlist(netlist)?,
             spec: None,
             rules: VanishingRules::default(),
             budget: Budget::default(),
@@ -158,7 +155,8 @@ impl Portfolio {
         self
     }
 
-    /// Sets the structural vanishing rules for the algebraic strategies.
+    /// Sets the vanishing mode of the algebraic strategies (see
+    /// [`crate::Session::rules`]).
     pub fn rules(mut self, rules: VanishingRules) -> Portfolio {
         self.rules = rules;
         self
@@ -245,11 +243,6 @@ impl Portfolio {
                     modulus_bits: None,
                     spec_weights: None,
                 };
-                let cex_ctx = CexContext {
-                    model: &self.model,
-                    input_names: &self.input_names,
-                    spec: Some(spec),
-                };
                 let mut noop = |_: &Progress| {};
                 let report = run_pipeline(
                     entry.name.clone(),
@@ -259,7 +252,7 @@ impl Portfolio {
                     rewrite.as_ref(),
                     reduction.as_ref(),
                     &ctx,
-                    self.counterexamples.then_some(&cex_ctx),
+                    self.counterexamples.then_some(spec),
                     &mut noop,
                 );
                 StrategyRun {
@@ -281,9 +274,9 @@ impl Portfolio {
                     EquivalenceResult::Equivalent => Outcome::Verified,
                     EquivalenceResult::NotEquivalent(pattern) => Outcome::Mismatch {
                         remainder_terms: 0,
-                        counterexample: self.counterexamples.then(|| {
-                            ground_assignment(&self.model, &self.input_names, Some(spec), &pattern)
-                        }),
+                        counterexample: self
+                            .counterexamples
+                            .then(|| ground_assignment(&self.model, spec, &pattern)),
                     },
                     EquivalenceResult::Unknown => {
                         if token.is_cancelled() {

@@ -17,7 +17,7 @@
 //! simple: it is the differential oracle the indexed engine of
 //! [`crate::parallel`] is pinned against. It is a [`ReductionStrategy`], the
 //! only entry to its loop, and reads its term limit, token, modulus and
-//! vanishing rules from the [`PhaseContext`].
+//! vanishing mode from the [`PhaseContext`].
 
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,7 @@ use gbmv_poly::{FastMap, Polynomial, Var};
 use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
 use crate::strategy::{PhaseContext, ReductionStrategy};
-use crate::vanishing::VanishingTracker;
+use crate::vanishing::{VanishingRules, VanishingTracker};
 
 /// Why a reduction run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,14 +125,16 @@ pub struct ReductionStats {
 ///   congruent (not equal) to the product, and without intermediate modular
 ///   dropping the congruence excess accumulates millions of terms that the
 ///   final `drop_multiples_of_pow2` would erase anyway;
-/// * `rules`: with `vanishing`, the [`VanishingTracker`] built from them.
+/// * `rules`: with `vanishing`, the [`VanishingTracker`] is applied unless
+///   the mode is [`VanishingRules::Off`].
 ///
 /// The remainder only mentions primary-input variables when the outcome is
 /// [`ReductionOutcome::Completed`] and the model still contains a polynomial
 /// for every internal variable of `spec`'s cone.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyReduction {
-    /// Apply the vanishing rules after every substitution (required for the
+    /// Apply the [`VanishingTracker`] after every substitution, unless the
+    /// context's mode is [`VanishingRules::Off`] (required for the
     /// logic-reduction methods). At the synthesized gate level the
     /// reduction can re-create vanishing monomials by multiplying tails of
     /// different (individually clean) model polynomials; removing them here
@@ -161,9 +163,8 @@ impl ReductionStrategy for GreedyReduction {
         let start = Instant::now();
         // The gate-function index survives rewriting (only tails change), so
         // the tracker can be built from the rewritten model.
-        let mut tracker = self
-            .vanishing
-            .then(|| VanishingTracker::new(model, ctx.rules));
+        let tracker = (self.vanishing && ctx.rules != VanishingRules::Off)
+            .then(|| VanishingTracker::new(model));
         let mut stats = ReductionStats::default();
         let mut r = spec.clone();
         let mut scratch = Polynomial::zero();
@@ -206,7 +207,7 @@ impl ReductionStrategy for GreedyReduction {
             r.substitute_into(v, tail, &mut scratch);
             std::mem::swap(&mut r, &mut scratch);
             stats.substitutions += 1;
-            if let Some(t) = tracker.as_mut() {
+            if let Some(t) = &tracker {
                 stats.cancelled_vanishing += t.apply(&mut r) as u64;
             }
             if let Some(k) = ctx.modulus_bits {
@@ -231,7 +232,6 @@ impl ReductionStrategy for GreedyReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vanishing::VanishingRules;
     use gbmv_netlist::Netlist;
     use gbmv_poly::spec::{adder_spec, full_adder_spec};
     use gbmv_poly::{Int, Monomial};
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn explicit_order_matches_default_for_full_adder() {
         let ctx = PhaseContext {
-            rules: VanishingRules::none(),
+            rules: VanishingRules::Off,
             ..PhaseContext::default()
         };
         for bug in [false, true] {

@@ -37,7 +37,7 @@ use crate::budget::DeadlineToken;
 use crate::model::{AlgebraicModel, GateFunction};
 use crate::reduction::ReductionOutcome;
 use crate::strategy::PhaseContext;
-use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingTracker};
+use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
 
 /// Statistics of one or more rewriting passes.
 #[derive(Debug, Clone, Default)]
@@ -141,7 +141,7 @@ pub fn spec_weights(model: &AlgebraicModel, spec: &Polynomial, k: u32) -> Vec<u3
 pub(crate) fn gb_rewrite(
     model: &mut AlgebraicModel,
     keep: &FastSet<Var>,
-    mut vanishing: Option<&mut VanishingTracker>,
+    vanishing: Option<&VanishingTracker>,
     ctx: &PhaseContext,
 ) -> RewriteStats {
     let start = Instant::now();
@@ -172,7 +172,7 @@ pub(crate) fn gb_rewrite(
             tail.substitute_into(vt, &replacement, &mut scratch);
             std::mem::swap(&mut tail, &mut scratch);
             stats.substitutions += 1;
-            if let Some(tracker) = vanishing.as_deref_mut() {
+            if let Some(tracker) = vanishing {
                 let removed = tracker.apply(&mut tail);
                 stats.cancelled_vanishing += removed as u64;
             }
@@ -237,33 +237,36 @@ fn smallest_tail_candidate(
 /// substitution step reacts to cancellation.
 const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
 
-/// The vanishing predicate the indexed loops apply during each substitution.
-/// [`gb_rewrite_indexed`] takes either variant, and
-/// [`crate::IndexedLogicReductionRewrite`] picks one by
-/// [`crate::VanishingRules::closure`]; the indexed reduction engine
-/// ([`crate::ParallelReduction`]) uses the closure.
-pub(crate) enum RewriteVanishing<'a> {
-    /// The scan engine's static per-monomial pattern test. In this mode the
-    /// rewriter's result is term-for-term identical to [`gb_rewrite`]'s —
-    /// the differential contract pinned by `tests/rewrite_equivalence.rs`.
-    Tracker(&'a VanishingTracker),
-    /// The unit-propagation closure shared with the reduction engines; the
-    /// presets' default. Cancels strictly more monomials than the tracker's
-    /// patterns, trading byte-identity for the term-growth headroom that
-    /// opens width 16+.
-    Closure(&'a ClosureVanishing, VanishScratch),
+/// The vanishing predicate the indexed loops apply during each substitution,
+/// in the XOR pass of [`crate::IndexedLogicReductionRewrite`] and in
+/// [`crate::ParallelReduction`]. [`RewriteVanishing::new`] picks it from the
+/// run's [`VanishingRules`].
+pub(crate) enum RewriteVanishing {
+    /// The scan engine's static per-monomial pattern test
+    /// ([`VanishingRules::XorAnd`]). In this mode the rewriter's result is
+    /// term-for-term identical to [`gb_rewrite`]'s — the differential
+    /// contract pinned by `tests/rewrite_equivalence.rs`.
+    Tracker(VanishingTracker),
+    /// The unit-propagation closure ([`VanishingRules::Closure`], the
+    /// presets' default), with its query scratch. Cancels strictly more
+    /// monomials than the tracker's patterns, trading byte-identity for the
+    /// term-growth headroom that opens width 16+.
+    Closure(ClosureVanishing, VanishScratch),
 }
 
-impl<'a> RewriteVanishing<'a> {
-    /// Wraps the closure index together with a fresh query scratch.
-    pub fn closure(van: &'a ClosureVanishing) -> Self {
-        Self::Closure(van, van.scratch())
-    }
-
-    fn enabled(&self) -> bool {
-        match self {
-            Self::Tracker(t) => t.enabled(),
-            Self::Closure(c, _) => c.enabled(),
+impl RewriteVanishing {
+    /// The predicate of `rules` over `model`'s gates: `None` when logic
+    /// reduction is off. The indexed engines' only mapping from a mode to a
+    /// predicate.
+    pub(crate) fn new(model: &AlgebraicModel, rules: VanishingRules) -> Option<Self> {
+        match rules {
+            VanishingRules::Off => None,
+            VanishingRules::XorAnd => Some(Self::Tracker(VanishingTracker::new(model))),
+            VanishingRules::Closure => {
+                let closure = ClosureVanishing::new(model);
+                let scratch = closure.scratch();
+                Some(Self::Closure(closure, scratch))
+            }
         }
     }
 
@@ -439,12 +442,11 @@ pub(crate) fn substitute_step(
 pub(crate) fn gb_rewrite_indexed(
     model: &mut AlgebraicModel,
     keep: &FastSet<Var>,
-    vanishing: Option<RewriteVanishing>,
+    mut vanishing: Option<RewriteVanishing>,
     ctx: &PhaseContext,
 ) -> RewriteStats {
     let start = Instant::now();
     let mut stats = RewriteStats::default();
-    let mut vanishing = vanishing.filter(|v| v.enabled());
     let order = model.polynomial_order();
     // Suffix unions of the output-column masks over the pass order: column
     // `j` retires once the pass moves past the last polynomial whose
@@ -603,14 +605,11 @@ mod tests {
         ]
     }
 
-    /// A context with the tracker predicate (`closure: false`) and a
-    /// `2^k` modulus: the byte-identical mode of the indexed rewriter.
+    /// A context with the tracker predicate (`XorAnd` mode) and a `2^k`
+    /// modulus: the byte-identical mode of the indexed rewriter.
     fn tracker_context(k: u32) -> PhaseContext {
         PhaseContext {
-            rules: VanishingRules {
-                closure: false,
-                ..VanishingRules::default()
-            },
+            rules: VanishingRules::XorAnd,
             modulus_bits: Some(k),
             ..PhaseContext::default()
         }
@@ -792,7 +791,7 @@ mod tests {
     #[test]
     fn indexed_rewriting_matches_the_scan_oracle() {
         // Full-coverage pinning lives in tests/rewrite_equivalence.rs; this
-        // is the crate-level smoke for the same contract. `closure: false`
+        // is the crate-level smoke for the same contract. `XorAnd` mode
         // selects the tracker predicate, the byte-identical mode.
         let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
         let base = AlgebraicModel::from_netlist(&nl).unwrap();

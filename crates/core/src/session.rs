@@ -244,32 +244,11 @@ impl From<SpecError> for SessionError {
 /// A boxed progress observer, as installed by [`Session::observer`].
 type ObserverBox = Box<dyn FnMut(&Progress)>;
 
-/// Extracts the algebraic model plus the primary-input names of a netlist —
-/// the shared Step 1 of [`Session::extract`] and
-/// [`crate::Portfolio::extract`].
-pub(crate) fn extract_model(
-    netlist: &Netlist,
-) -> Result<(AlgebraicModel, Vec<String>), ExtractError> {
-    let model = AlgebraicModel::from_netlist(netlist)?;
-    let input_names = netlist
-        .inputs()
-        .iter()
-        .map(|&n| netlist.net_name(n).to_string())
-        .collect();
-    Ok((model, input_names))
-}
-
-/// Context needed to ground a counterexample: the pristine model, the input
-/// names, and (when known) the specification for the expected output word.
-pub(crate) struct CexContext<'a> {
-    pub model: &'a AlgebraicModel,
-    pub input_names: &'a [String],
-    pub spec: Option<&'a Spec>,
-}
-
 /// The shared verification pipeline: Step 2 (rewriting) on a clone of the
-/// model, Steps 3/4 (reduction and the zero test), then the counterexample
-/// search. Used by [`Session::run`] and the [`crate::Portfolio`] entries.
+/// model, Steps 3/4 (reduction and the zero test), then, with `cex_spec`,
+/// the counterexample search, which grounds a found assignment on the
+/// pristine `base` model and `cex_spec`. Used by [`Session::run`] and the
+/// [`crate::Portfolio`] entries.
 ///
 /// This is the one place where a reduction stop becomes an [`Outcome`]: a
 /// term-limit stop is a resource limit, and a token stop is `Cancelled` or a
@@ -283,7 +262,7 @@ pub(crate) fn run_pipeline(
     rewrite: &dyn RewriteStrategy,
     reduction: &dyn ReductionStrategy,
     ctx: &PhaseContext,
-    cex: Option<&CexContext<'_>>,
+    cex_spec: Option<&Spec>,
     observer: &mut dyn FnMut(&Progress),
 ) -> Report {
     let start = Instant::now();
@@ -404,13 +383,13 @@ pub(crate) fn run_pipeline(
     let outcome = if remainder.is_zero() {
         Outcome::Verified
     } else {
-        let counterexample = cex.and_then(|cex| {
+        let counterexample = cex_spec.and_then(|spec| {
             observer(&Progress::PhaseStarted {
                 phase: Phase::Counterexample,
             });
             let search_start = Instant::now();
-            let found = find_assignment(cex.model, &remainder, modulus_bits)
-                .map(|values| ground_assignment(cex.model, cex.input_names, cex.spec, &values));
+            let found = find_assignment(base, &remainder, modulus_bits)
+                .map(|values| ground_assignment(base, spec, &values));
             observer(&Progress::PhaseFinished {
                 phase: Phase::Counterexample,
                 elapsed: search_start.elapsed(),
@@ -439,7 +418,6 @@ pub(crate) fn run_pipeline(
 /// model.
 pub struct Session {
     model: AlgebraicModel,
-    input_names: Vec<String>,
     spec: Option<Spec>,
     rules: VanishingRules,
     rewrite: Box<dyn RewriteStrategy>,
@@ -468,17 +446,8 @@ impl Session {
     ///
     /// Fails with [`ExtractError::CombinationalCycle`] on cyclic netlists.
     pub fn extract(netlist: &Netlist) -> Result<Session, ExtractError> {
-        let (model, input_names) = extract_model(netlist)?;
-        Ok(Session::from_model(model, input_names))
-    }
-
-    /// Wraps an already-extracted model (advanced; prefer
-    /// [`Session::extract`]). `input_names` must parallel the model's
-    /// primary-input variables in declaration order.
-    pub fn from_model(model: AlgebraicModel, input_names: Vec<String>) -> Session {
-        Session {
-            model,
-            input_names,
+        Ok(Session {
+            model: AlgebraicModel::from_netlist(netlist)?,
             spec: None,
             rules: VanishingRules::default(),
             rewrite: Method::MtLr.rewrite_strategy(),
@@ -488,7 +457,7 @@ impl Session {
             token: None,
             observer: None,
             counterexamples: true,
-        }
+        })
     }
 
     /// Sets the specification to verify against.
@@ -526,8 +495,10 @@ impl Session {
         self
     }
 
-    /// Sets the structural vanishing rules (used by the XOR/logic-reduction
-    /// strategies; the ablation study disables them).
+    /// Sets the vanishing mode (default [`VanishingRules::Closure`]): which
+    /// predicate, if any, the XOR/logic-reduction strategies apply. The
+    /// ablation study turns logic reduction off with
+    /// [`VanishingRules::Off`].
     pub fn rules(mut self, rules: VanishingRules) -> Session {
         self.rules = rules;
         self
@@ -557,11 +528,6 @@ impl Session {
     /// The extracted algebraic model.
     pub fn model(&self) -> &AlgebraicModel {
         &self.model
-    }
-
-    /// Primary input net names in declaration order.
-    pub fn input_names(&self) -> &[String] {
-        &self.input_names
     }
 
     /// The display name of the configured strategy: a preset name like
@@ -595,11 +561,6 @@ impl Session {
             modulus_bits: None,
             spec_weights: None,
         };
-        let cex_ctx = CexContext {
-            model: &self.model,
-            input_names: &self.input_names,
-            spec: Some(&spec),
-        };
         let mut noop = |_: &Progress| {};
         let observer: &mut dyn FnMut(&Progress) = match &mut self.observer {
             Some(observer) => observer.as_mut(),
@@ -613,7 +574,7 @@ impl Session {
             self.rewrite.as_ref(),
             self.reduction.as_ref(),
             &ctx,
-            self.counterexamples.then_some(&cex_ctx),
+            self.counterexamples.then_some(&spec),
             observer,
         ))
     }
@@ -742,14 +703,47 @@ mod tests {
         assert!(report.outcome.is_verified());
     }
 
+    /// Which engines cancel in each vanishing mode, on two Kogge-Stone
+    /// multipliers: every run verifies; a run cancels exactly when logic
+    /// reduction is on and its method applies it (every method but MT and
+    /// MT-FO); and the scan presets cancel the same monomials in `XorAnd`
+    /// and `Closure` mode, since both apply the tracker there.
     #[test]
     fn stats_report_vanishing_monomials_for_prefix_architectures() {
-        let report = session("SP-CT-KS", 4).run().unwrap();
-        assert!(report.outcome.is_verified());
-        assert!(
-            report.stats.cancelled_vanishing() > 0,
-            "Kogge-Stone multiplier must exhibit vanishing monomials"
-        );
+        let modes = [
+            VanishingRules::Off,
+            VanishingRules::XorAnd,
+            VanishingRules::Closure,
+        ];
+        for arch in ["SP-CT-KS", "SP-RT-KS"] {
+            for method in Method::all() {
+                let cvm = modes.map(|rules| {
+                    let report = session(arch, 4)
+                        .strategy(method)
+                        .rules(rules)
+                        .run()
+                        .unwrap();
+                    let outcome = &report.outcome;
+                    assert!(
+                        outcome.is_verified(),
+                        "{arch} {method} {rules:?}: {outcome:?}"
+                    );
+                    report.stats.cancelled_vanishing()
+                });
+                for (rules, cancelled) in modes.iter().zip(cvm) {
+                    let applies = *rules != VanishingRules::Off
+                        && !matches!(method, Method::MtNaive | Method::MtFo);
+                    assert_eq!(
+                        cancelled > 0,
+                        applies,
+                        "{arch} {method} {rules:?}: #CVM {cancelled}"
+                    );
+                }
+                if matches!(method, Method::MtXorOnly | Method::MtLr) {
+                    assert_eq!(cvm[1], cvm[2], "{arch} {method}: #CVM by mode");
+                }
+            }
+        }
     }
 
     fn event_line(p: &Progress) -> String {

@@ -21,12 +21,12 @@ use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
 use crate::reduction::{GreedyReduction, ReductionOutcome, ReductionStats};
 use crate::rewrite::{gb_rewrite, gb_rewrite_indexed, RewriteStats, RewriteVanishing};
-use crate::vanishing::{ClosureVanishing, VanishingRules, VanishingTracker};
+use crate::vanishing::{VanishingRules, VanishingTracker};
 
 /// Everything a phase strategy reads about the run it executes in, and the
 /// only configuration the provided engines have: the term limit, the
-/// cancellation token, the structural vanishing rules, and the run's
-/// modulus and spec weights.
+/// cancellation token, the vanishing mode, and the run's modulus and spec
+/// weights.
 ///
 /// [`crate::Session::run`] and [`crate::Portfolio`] fill it from their
 /// [`Budget`] (its deadline becomes the token) and the instantiated spec. A
@@ -51,7 +51,8 @@ pub struct PhaseContext {
     /// [`Budget::deadline`] turned into a deadline. Strategies must poll it
     /// in their inner loops (the provided implementations do).
     pub token: DeadlineToken,
-    /// The structural vanishing rules of the run.
+    /// The vanishing mode of the run: which predicate, if any, each engine
+    /// applies.
     pub rules: VanishingRules,
     /// The modulus (in bits) of the run's zero test, when it has one (for a
     /// multiplier, `Some(2 * width)`). Every strategy reads it from here:
@@ -72,7 +73,7 @@ pub struct PhaseContext {
 
 impl Default for PhaseContext {
     /// The context of a default [`Budget`], with its clock started now, the
-    /// default rules, and no modulus.
+    /// default [`VanishingRules::Closure`] mode, and no modulus.
     fn default() -> Self {
         let budget = Budget::default();
         PhaseContext {
@@ -150,9 +151,10 @@ impl RewriteStrategy for FanoutRewrite {
 
 /// XOR rewriting — the first half of MT-LR: the scan rewriter against the
 /// keep-set of XOR inputs/outputs and primary I/O
-/// ([`AlgebraicModel::xor_keep_set`]), applying the vanishing rules of
-/// [`PhaseContext::rules`] after every substitution. The paper's ablation
-/// shows it is inefficient on its own.
+/// ([`AlgebraicModel::xor_keep_set`]), applying the [`VanishingTracker`]
+/// after every substitution unless [`PhaseContext::rules`] is
+/// [`VanishingRules::Off`]. The paper's ablation shows it is inefficient on
+/// its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct XorRewrite;
 
@@ -163,8 +165,8 @@ impl RewriteStrategy for XorRewrite {
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
         let keep = model.xor_keep_set();
-        let mut tracker = VanishingTracker::new(model, ctx.rules);
-        gb_rewrite(model, &keep, Some(&mut tracker), ctx)
+        let tracker = (ctx.rules != VanishingRules::Off).then(|| VanishingTracker::new(model));
+        gb_rewrite(model, &keep, tracker.as_ref(), ctx)
     }
 }
 
@@ -199,18 +201,19 @@ impl RewriteStrategy for LogicReductionRewrite {
 /// and coefficients kept canonical modulo `2^(k - W(v))` from
 /// [`PhaseContext::modulus_bits`] and [`PhaseContext::spec_weights`].
 ///
-/// [`VanishingRules::closure`] selects the XOR pass's vanishing predicate:
+/// [`PhaseContext::rules`] selects the XOR pass's vanishing predicate:
 ///
-/// * on (the default), the unit-propagation closure shared with the
-///   reduction engines. It cancels strictly more monomials than the scan
-///   tracker's patterns, so the rewritten model is smaller than
-///   [`LogicReductionRewrite`]'s yet reduces to the same remainder; this is
-///   what opens width 16+;
-/// * off, the scan tracker's pattern rules. Without spec weights the
-///   rewritten model is then [`LogicReductionRewrite`]'s term for term,
-///   modulo `2^k`; with them each tail is that tail modulo `2^(k - W(v))`.
-///   `tests/rewrite_equivalence.rs` pins both across every generator
-///   architecture.
+/// * [`VanishingRules::Closure`] (the default), the unit-propagation
+///   closure that [`crate::ParallelReduction`] also applies. It cancels
+///   strictly more monomials than the scan tracker's patterns, so the
+///   rewritten model is smaller than [`LogicReductionRewrite`]'s yet reduces
+///   to the same remainder; this is what opens width 16+;
+/// * [`VanishingRules::XorAnd`], the scan tracker's pattern rules. Without
+///   spec weights the rewritten model is then [`LogicReductionRewrite`]'s
+///   term for term, modulo `2^k`; with them each tail is that tail modulo
+///   `2^(k - W(v))`. `tests/rewrite_equivalence.rs` pins both across every
+///   generator architecture;
+/// * [`VanishingRules::Off`], none.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedLogicReductionRewrite;
 
@@ -221,13 +224,8 @@ impl RewriteStrategy for IndexedLogicReductionRewrite {
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
         let keep = model.xor_keep_set();
-        let mut stats = if ctx.rules.closure {
-            let closure = ClosureVanishing::new(model, ctx.rules);
-            gb_rewrite_indexed(model, &keep, Some(RewriteVanishing::closure(&closure)), ctx)
-        } else {
-            let tracker = VanishingTracker::new(model, ctx.rules);
-            gb_rewrite_indexed(model, &keep, Some(RewriteVanishing::Tracker(&tracker)), ctx)
-        };
+        let vanishing = RewriteVanishing::new(model, ctx.rules);
+        let mut stats = gb_rewrite_indexed(model, &keep, vanishing, ctx);
         if !stats.limit_exceeded {
             let keep = model.common_keep_set();
             stats.merge(&gb_rewrite_indexed(model, &keep, None, ctx));

@@ -3,100 +3,54 @@ use gbmv_poly::{FastMap, Monomial, Polynomial, Var};
 
 use crate::model::AlgebraicModel;
 
-/// Which structural zero-product rules are applied while rewriting.
+/// Which structural vanishing rule the engines apply: logic reduction off,
+/// the paper's XOR-AND rule, or its unit-propagation closure.
 ///
-/// The paper's rule is `xor_and`: a monomial containing both `a ⊕ b` and
-/// `a ∧ b` always evaluates to zero. The `xor_both_inputs` extension
-/// (`(a⊕b)·a·b = 0`) is enabled by default because at the synthesized gate
-/// level the AND output is frequently substituted (inlined to `a·b`) before
-/// the paired XOR variable enters the same monomial; matching the inlined
-/// form is required to catch those vanishing monomials and is semantically
-/// the same rule. The `xor_nor` extension is disabled by default and exposed
-/// for the ablation study.
-///
-/// The `closure` flag upgrades the indexed engines ([`ClosureVanishing`])
-/// from the fixed gate-pair patterns to assumption-closure matching: every
-/// variable's unit-propagation consequences are precomputed, so 3-input XOR
-/// chains (`sum = (a⊕b)⊕c`), majority/carry gates (the `t·d` product of
-/// every full-adder carry OR), and inverter chains all cancel before they
-/// inflate the term table. [`VanishingTracker`], which backs the reference
-/// MT-LR strategy, ignores the flag and keeps matching the paper's exact
-/// rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VanishingRules {
-    /// `(a ⊕ b) · (a ∧ b) = 0` — the XOR-AND rule of the paper.
-    pub xor_and: bool,
-    /// `(a ⊕ b) · a · b = 0` — extension using the XOR inputs directly.
-    pub xor_both_inputs: bool,
-    /// `(a ⊕ b) · (a NOR b) = 0` — extension for NOR-based carry logic.
-    pub xor_nor: bool,
-    /// Assumption-closure matching in the indexed engines: detect any
-    /// monomial whose variables force contradictory values by unit
-    /// propagation (covers XOR chains, full-adder carry products, and
-    /// complement pairs). Also selects the indexed *rewriter's* vanishing
-    /// predicate: closure when set, the tracker's pattern rules — the
-    /// byte-identical-to-the-scan-oracle differential mode — when clear.
-    /// Ignored by [`VanishingTracker`] itself.
-    pub closure: bool,
-}
-
-impl Default for VanishingRules {
-    fn default() -> Self {
-        VanishingRules {
-            xor_and: true,
-            xor_both_inputs: true,
-            xor_nor: false,
-            closure: true,
-        }
-    }
-}
-
-impl VanishingRules {
-    /// Every rule enabled (used by the ablation benches).
-    pub fn all() -> Self {
-        VanishingRules {
-            xor_and: true,
-            xor_both_inputs: true,
-            xor_nor: true,
-            closure: true,
-        }
-    }
-
-    /// Every rule disabled (logic reduction off; degenerates MT-LR into plain
-    /// XOR + common rewriting).
-    pub fn none() -> Self {
-        VanishingRules {
-            xor_and: false,
-            xor_both_inputs: false,
-            xor_nor: false,
-            closure: false,
-        }
-    }
+/// Each mode selects one predicate per engine. The scan engines (the
+/// rewriter of [`crate::XorRewrite`] and [`crate::LogicReductionRewrite`],
+/// and [`crate::GreedyReduction`]) apply [`VanishingTracker`] in both
+/// [`VanishingRules::XorAnd`] and [`VanishingRules::Closure`]; the indexed
+/// engines of `MT-LR-PAR` apply the tracker in `XorAnd` mode and
+/// [`ClosureVanishing`] in `Closure` mode. [`VanishingRules::Off`] cancels
+/// nothing anywhere, the "without logic reduction" arm of the paper's
+/// ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum VanishingRules {
+    /// No vanishing rule: MT-LR degenerates into plain XOR and common
+    /// rewriting.
+    Off,
+    /// The paper's XOR-AND rule in both of its forms, `(a⊕b)·(a∧b) = 0` and
+    /// `(a⊕b)·a·b = 0`, in every engine. The second form is needed at the
+    /// synthesized gate level, where the AND output is often substituted
+    /// (inlined to `a·b`) before the paired XOR variable enters the same
+    /// monomial. In this mode the indexed rewriter is term for term the
+    /// scan rewriter, the contract `tests/rewrite_equivalence.rs` pins.
+    XorAnd,
+    /// The indexed engines apply the unit-propagation closure of
+    /// [`ClosureVanishing`]: 3-input XOR chains (`sum = (a⊕b)⊕c`), the `t·d`
+    /// product of every full-adder carry OR and inverter chains all cancel
+    /// before they inflate the term table. The scan engines keep the
+    /// tracker. The presets' default.
+    #[default]
+    Closure,
 }
 
 /// An index over the structural gate definitions that answers "does this
-/// monomial contain a pair of variables that makes it vanish?" quickly.
-///
-/// The tracker also counts how many monomials it removed (`#CVM` in
-/// Table III of the paper).
+/// monomial contain a pair of variables that makes it vanish?" quickly: the
+/// paper's XOR-AND rule in both forms (see [`VanishingRules::XorAnd`]).
 #[derive(Debug)]
 pub struct VanishingTracker {
-    rules: VanishingRules,
     /// AND outputs by their (sorted) input pair.
     and_outputs: FastMap<(Var, Var), Vec<Var>>,
-    /// NOR outputs by their (sorted) input pair.
-    nor_outputs: FastMap<(Var, Var), Vec<Var>>,
     /// For every variable that is the output of a 2-input XOR gate, its input
     /// pair.
     xor_inputs: FastMap<Var, (Var, Var)>,
-    cancelled: u64,
 }
 
 impl VanishingTracker {
     /// Builds the tracker from the structural gate information of a model.
-    pub fn new(model: &AlgebraicModel, rules: VanishingRules) -> Self {
+    pub fn new(model: &AlgebraicModel) -> Self {
         let mut and_outputs: FastMap<(Var, Var), Vec<Var>> = FastMap::default();
-        let mut nor_outputs: FastMap<(Var, Var), Vec<Var>> = FastMap::default();
         let mut xor_inputs = FastMap::default();
         for (&out, gf) in model.gate_functions() {
             if gf.inputs.len() != 2 {
@@ -110,30 +64,13 @@ impl VanishingTracker {
                 GateKind::And => {
                     and_outputs.entry(pair).or_default().push(out);
                 }
-                GateKind::Nor => {
-                    nor_outputs.entry(pair).or_default().push(out);
-                }
                 _ => {}
             }
         }
         VanishingTracker {
-            rules,
             and_outputs,
-            nor_outputs,
             xor_inputs,
-            cancelled: 0,
         }
-    }
-
-    /// The number of monomials removed so far (`#CVM`).
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled
-    }
-
-    /// Whether any of the tracker's pattern rules is switched on; when this
-    /// is `false`, [`VanishingTracker::apply`] is a no-op.
-    pub fn enabled(&self) -> bool {
-        self.rules.xor_and || self.rules.xor_both_inputs || self.rules.xor_nor
     }
 
     /// Returns `true` if the monomial is structurally guaranteed to evaluate
@@ -144,22 +81,13 @@ impl VanishingTracker {
         }
         for v in monomial.vars() {
             if let Some(&(a, b)) = self.xor_inputs.get(&v) {
-                if self.rules.xor_and {
-                    if let Some(ands) = self.and_outputs.get(&(a, b)) {
-                        if ands.iter().any(|w| *w != v && monomial.contains(*w)) {
-                            return true;
-                        }
+                if let Some(ands) = self.and_outputs.get(&(a, b)) {
+                    if ands.iter().any(|w| *w != v && monomial.contains(*w)) {
+                        return true;
                     }
                 }
-                if self.rules.xor_both_inputs && monomial.contains(a) && monomial.contains(b) {
+                if monomial.contains(a) && monomial.contains(b) {
                     return true;
-                }
-                if self.rules.xor_nor {
-                    if let Some(nors) = self.nor_outputs.get(&(a, b)) {
-                        if nors.iter().any(|w| *w != v && monomial.contains(*w)) {
-                            return true;
-                        }
-                    }
                 }
             }
         }
@@ -168,14 +96,9 @@ impl VanishingTracker {
 
     /// Removes all vanishing monomials from the polynomial in place,
     /// returning the number of removed terms (`XORAND-Rule(r)` in
-    /// Algorithm 2 of the paper).
-    pub fn apply(&mut self, p: &mut Polynomial) -> usize {
-        if !(self.rules.xor_and || self.rules.xor_both_inputs || self.rules.xor_nor) {
-            return 0;
-        }
-        let removed = p.retain_terms(|m| !self.monomial_vanishes(m));
-        self.cancelled += removed as u64;
-        removed
+    /// Algorithm 2 of the paper; callers sum it into `#CVM`).
+    pub fn apply(&self, p: &mut Polynomial) -> usize {
+        p.retain_terms(|m| !self.monomial_vanishes(m))
     }
 }
 
@@ -183,8 +106,8 @@ impl VanishingTracker {
 /// weakens the rule (fewer detections), never its soundness.
 const CLOSURE_FACT_CAP: usize = 48;
 
-/// The assumption-closure vanishing index used by the indexed reduction
-/// engines.
+/// The assumption-closure vanishing index the indexed engines apply in
+/// [`VanishingRules::Closure`] mode.
 ///
 /// For every variable `v` it precomputes the unit-propagation consequences
 /// of assuming `v = 1`: the set of variables forced to 1 and the set forced
@@ -197,15 +120,11 @@ const CLOSURE_FACT_CAP: usize = 48;
 /// * some variable is forced both to 1 and to 0 (complement pairs, inverter
 ///   chains), or
 /// * an XOR output forced to 1 has both inputs forced to the same value
-///   (subsumes the paper's XOR-AND rule and its both-inputs/NOR variants,
-///   and catches the `t·d` carry product of every full-adder: `t = x∧c`
-///   forces `x = a⊕b` to 1 while `d = a∧b` forces both of its inputs), or
+///   (subsumes both forms of the paper's XOR-AND rule and the NOR pattern
+///   `(a⊕b)·(a NOR b)`, and catches the `t·d` carry product of every
+///   full-adder: `t = x∧c` forces `x = a⊕b` to 1 while `d = a∧b` forces
+///   both of its inputs), or
 /// * an XNOR output forced to 1 has its inputs forced to opposite values.
-///
-/// With [`VanishingRules::closure`] disabled the consequence sets are
-/// limited to direct gate propagation (depth 1) and only the classically
-/// gated XOR rules fire, reproducing the fixed-pattern behaviour for the
-/// ablation study.
 ///
 /// Queries write epoch stamps into a caller-owned [`VanishScratch`], so the
 /// index itself stays immutable. The engines' inner loop
@@ -227,10 +146,6 @@ pub struct ClosureVanishing {
     xor_pair: Vec<Option<(Var, Var)>>,
     /// Input pairs of 2-input XNOR gates, by output variable.
     xnor_pair: Vec<Option<(Var, Var)>>,
-    use_conflict: bool,
-    use_xor11: bool,
-    use_xor00: bool,
-    use_xnor: bool,
 }
 
 /// Scratch space for [`ClosureVanishing`] queries, one per query loop:
@@ -267,7 +182,7 @@ impl VanishScratch {
 
 impl ClosureVanishing {
     /// Builds the index from the structural gate information of a model.
-    pub fn new(model: &AlgebraicModel, rules: VanishingRules) -> Self {
+    pub fn new(model: &AlgebraicModel) -> Self {
         let var_count = model.var_count();
         let gfs = model.gate_functions();
         let mut xor_pair = vec![None; var_count];
@@ -282,12 +197,11 @@ impl ClosureVanishing {
                 }
             }
         }
-        let deep = rules.closure;
         let mut forced1 = vec![Vec::new(); var_count];
         let mut forced0 = vec![Vec::new(); var_count];
         let mut always_zero = vec![false; var_count];
         for v in 0..var_count {
-            let (pos, neg, contradiction) = closure_of(gfs, Var(v as u32), deep);
+            let (pos, neg, contradiction) = closure_of(gfs, Var(v as u32));
             forced1[v] = pos;
             forced0[v] = neg;
             always_zero[v] = contradiction;
@@ -299,17 +213,7 @@ impl ClosureVanishing {
             always_zero,
             xor_pair,
             xnor_pair,
-            use_conflict: rules.closure,
-            use_xor11: rules.closure || rules.xor_and || rules.xor_both_inputs,
-            use_xor00: rules.closure || rules.xor_nor,
-            use_xnor: rules.closure,
         }
-    }
-
-    /// `false` when every rule is disabled, letting callers skip the checks
-    /// entirely.
-    pub fn enabled(&self) -> bool {
-        self.use_conflict || self.use_xor11 || self.use_xor00 || self.use_xnor
     }
 
     /// Allocates a scratch sized for this index; one per query loop.
@@ -336,9 +240,6 @@ impl ClosureVanishing {
     /// `rest` on its own already vanishes (callers then skip the whole
     /// expansion).
     pub fn set_rest(&self, rest: &Monomial, s: &mut VanishScratch) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         s.clock += 1;
         s.base = s.clock;
         s.cur = s.base;
@@ -355,9 +256,6 @@ impl ClosureVanishing {
     /// Whether `tm · rest` vanishes, for the `rest` installed by the last
     /// [`Self::set_rest`] call on this scratch.
     pub fn rest_union_vanishes(&self, tm: &Monomial, s: &mut VanishScratch) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         s.clock += 1;
         s.cur = s.clock;
         s.cur_xor.clear();
@@ -370,13 +268,13 @@ impl ClosureVanishing {
     }
 
     /// Marks the consequences of `v = 1`; returns `true` on a detected
-    /// contradiction (under the enabled rules).
+    /// contradiction.
     fn mark_var(&self, v: Var, epoch: Epoch, s: &mut VanishScratch) -> bool {
         let i = v.index();
         if i >= self.var_count {
             return false;
         }
-        if self.use_conflict && self.always_zero[i] {
+        if self.always_zero[i] {
             return true;
         }
         let e = match epoch {
@@ -384,7 +282,7 @@ impl ClosureVanishing {
             Epoch::Cur => s.cur,
         };
         for &w in &self.forced1[i] {
-            if self.use_conflict && s.in0(w) {
+            if s.in0(w) {
                 return true;
             }
             if !s.in1(w) {
@@ -398,7 +296,7 @@ impl ClosureVanishing {
             }
         }
         for &w in &self.forced0[i] {
-            if self.use_conflict && s.in1(w) {
+            if s.in1(w) {
                 return true;
             }
             if !s.in0(w) {
@@ -413,18 +311,13 @@ impl ClosureVanishing {
     fn xor_rules_fire(&self, s: &VanishScratch) -> bool {
         for &x in s.rest_xor.iter().chain(&s.cur_xor) {
             if let Some((a, b)) = self.xor_pair[x.index()] {
-                if self.use_xor11 && s.in1(a) && s.in1(b) {
-                    return true;
-                }
-                if self.use_xor00 && s.in0(a) && s.in0(b) {
+                if (s.in1(a) && s.in1(b)) || (s.in0(a) && s.in0(b)) {
                     return true;
                 }
             }
-            if self.use_xnor {
-                if let Some((a, b)) = self.xnor_pair[x.index()] {
-                    if (s.in1(a) && s.in0(b)) || (s.in0(a) && s.in1(b)) {
-                        return true;
-                    }
+            if let Some((a, b)) = self.xnor_pair[x.index()] {
+                if (s.in1(a) && s.in0(b)) || (s.in0(a) && s.in1(b)) {
+                    return true;
                 }
             }
         }
@@ -440,24 +333,20 @@ enum Epoch {
 
 /// Unit-propagation closure of the single assumption `seed = 1`: the
 /// variables forced to 1 and to 0, and whether the assumption is
-/// self-contradictory. With `deep = false` only the seed's own gate
-/// semantics are expanded (depth 1); with `deep = true` derived facts
-/// propagate to a fixpoint, with XOR/XNOR gates re-examined as their input
-/// values become known.
+/// self-contradictory. Derived facts propagate to a fixpoint, with XOR/XNOR
+/// gates re-examined as their input values become known.
 fn closure_of(
     gfs: &FastMap<Var, crate::model::GateFunction>,
     seed: Var,
-    deep: bool,
 ) -> (Vec<Var>, Vec<Var>, bool) {
     let mut pos = vec![seed];
     let mut neg: Vec<Var> = Vec::new();
     let mut contradiction = false;
-    // (variable, value, derived) — derived facts are only expanded in deep
-    // mode.
-    let mut queue: Vec<(Var, bool, bool)> = vec![(seed, true, false)];
+    // (variable, value) facts whose gate is still to be expanded.
+    let mut queue: Vec<(Var, bool)> = vec![(seed, true)];
     let add = |pos: &mut Vec<Var>,
                neg: &mut Vec<Var>,
-               queue: &mut Vec<(Var, bool, bool)>,
+               queue: &mut Vec<(Var, bool)>,
                contradiction: &mut bool,
                w: Var,
                val: bool| {
@@ -474,15 +363,12 @@ fn closure_of(
             return;
         }
         mine.push(w);
-        queue.push((w, val, true));
+        queue.push((w, val));
     };
     loop {
-        while let Some((u, val, derived)) = queue.pop() {
+        while let Some((u, val)) = queue.pop() {
             if contradiction {
                 return (pos, neg, true);
-            }
-            if derived && !deep {
-                continue;
             }
             let Some(gf) = gfs.get(&u) else { continue };
             match (gf.kind, val) {
@@ -520,7 +406,7 @@ fn closure_of(
                 _ => {}
             }
         }
-        if contradiction || !deep {
+        if contradiction {
             break;
         }
         // Fixpoint pass for XOR/XNOR gates whose second input value arrived
@@ -592,39 +478,28 @@ mod tests {
     fn xor_and_monomial_vanishes() {
         let (nl, _a, _b, x, d, _n) = xd_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let tracker = VanishingTracker::new(&model, VanishingRules::default());
+        let tracker = VanishingTracker::new(&model);
         assert!(tracker.monomial_vanishes(&Monomial::from_vars(vec![x, d])));
         assert!(!tracker.monomial_vanishes(&Monomial::from_vars(vec![x])));
         assert!(!tracker.monomial_vanishes(&Monomial::from_vars(vec![d])));
     }
 
+    /// The tracker applies both forms of the XOR-AND rule and nothing else:
+    /// the inlined form `x·a·b` vanishes, the NOR product `x·n` does not.
     #[test]
     fn extended_rules_only_when_enabled() {
         let (nl, a, b, x, _d, n) = xd_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let default_tracker = VanishingTracker::new(&model, VanishingRules::default());
-        assert!(default_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, a, b])));
-        assert!(!default_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, n])));
-        let paper_only = VanishingRules {
-            xor_and: true,
-            xor_both_inputs: false,
-            xor_nor: false,
-            closure: false,
-        };
-        let paper_tracker = VanishingTracker::new(&model, paper_only);
-        assert!(!paper_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, a, b])));
-        let all_tracker = VanishingTracker::new(&model, VanishingRules::all());
-        assert!(all_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, a, b])));
-        assert!(all_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, n])));
-        let none_tracker = VanishingTracker::new(&model, VanishingRules::none());
-        assert!(!none_tracker.monomial_vanishes(&Monomial::from_vars(vec![x, _d])));
+        let tracker = VanishingTracker::new(&model);
+        assert!(tracker.monomial_vanishes(&Monomial::from_vars(vec![x, a, b])));
+        assert!(!tracker.monomial_vanishes(&Monomial::from_vars(vec![x, n])));
     }
 
     #[test]
     fn apply_removes_and_counts() {
         let (nl, a, _b, x, d, _n) = xd_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let mut tracker = VanishingTracker::new(&model, VanishingRules::default());
+        let tracker = VanishingTracker::new(&model);
         let mut p = Polynomial::from_terms(vec![
             (Monomial::from_vars(vec![x, d]), Int::from(7)),
             (Monomial::from_vars(vec![x, d, a]), Int::from(-3)),
@@ -632,7 +507,6 @@ mod tests {
         ]);
         let removed = tracker.apply(&mut p);
         assert_eq!(removed, 2);
-        assert_eq!(tracker.cancelled(), 2);
         assert_eq!(p.num_terms(), 1);
         assert_eq!(p.coeff(&Monomial::from_vars(vec![x, a])), Int::from(5));
     }
@@ -643,11 +517,10 @@ mod tests {
         // evaluate to zero under every consistent circuit assignment.
         let (nl, a, b, x, d, n) = xd_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let tracker = VanishingTracker::new(&model, VanishingRules::all());
+        let tracker = VanishingTracker::new(&model);
         let candidates = [
             Monomial::from_vars(vec![x, d]),
             Monomial::from_vars(vec![x, a, b]),
-            Monomial::from_vars(vec![x, n]),
             Monomial::from_vars(vec![x, d, n]),
         ];
         for m in &candidates {
@@ -703,11 +576,11 @@ mod tests {
         // x = a⊕b to 1 while d forces both a and b to 1.
         let (nl, [a, b, c, x, _sum, d, t, _carry]) = full_adder_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let closure = ClosureVanishing::new(&model, VanishingRules::default());
+        let closure = ClosureVanishing::new(&model);
         let mut s = closure.scratch();
         assert!(closure.vanishes(&Monomial::from_vars(vec![t, d]), &mut s));
         // The fixed-pattern tracker misses it: t and d share no direct pair.
-        let tracker = VanishingTracker::new(&model, VanishingRules::all());
+        let tracker = VanishingTracker::new(&model);
         assert!(!tracker.monomial_vanishes(&Monomial::from_vars(vec![t, d])));
         // 3-input XOR chain: sum = (a⊕b)⊕c with both of x's inputs forced.
         assert!(closure.vanishes(&Monomial::from_vars(vec![_sum, x, c]), &mut s));
@@ -721,7 +594,7 @@ mod tests {
     fn closure_rest_union_queries_match_full_queries() {
         let (nl, [a, b, _c, x, _sum, d, t, carry]) = full_adder_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let closure = ClosureVanishing::new(&model, VanishingRules::default());
+        let closure = ClosureVanishing::new(&model);
         let mut s = closure.scratch();
         let mut s2 = closure.scratch();
         let rest = Monomial::from_vars(vec![t]);
@@ -751,46 +624,28 @@ mod tests {
         nl.add_output("z", z);
         let (a, q, r) = (Var(a.0), Var(q.0), Var(r.0));
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let closure = ClosureVanishing::new(&model, VanishingRules::default());
+        let closure = ClosureVanishing::new(&model);
         let mut s = closure.scratch();
         // q = ¬a, r = ¬q = a: q·a and q·r are contradictory.
         assert!(closure.vanishes(&Monomial::from_vars(vec![q, a]), &mut s));
         assert!(closure.vanishes(&Monomial::from_vars(vec![q, r]), &mut s));
         assert!(!closure.vanishes(&Monomial::from_vars(vec![r, a]), &mut s));
-        // Depth-1 mode cannot see through the inverter chain q·r, and with
-        // every rule off nothing fires.
-        let shallow = ClosureVanishing::new(
-            &model,
-            VanishingRules {
-                closure: false,
-                ..VanishingRules::all()
-            },
-        );
-        let mut s = shallow.scratch();
-        assert!(!shallow.vanishes(&Monomial::from_vars(vec![q, r]), &mut s));
-        let off = ClosureVanishing::new(&model, VanishingRules::none());
-        assert!(!off.enabled());
-        let mut s = off.scratch();
-        assert!(!off.vanishes(&Monomial::from_vars(vec![q, a]), &mut s));
     }
 
+    /// The closure flags both forms of the XOR-AND rule and the NOR product
+    /// `x·n`, and, through `a` and `b`, also `d·n`: `d` forces both inputs
+    /// to 1, `n` forces both to 0.
     #[test]
     fn closure_subsumes_the_fixed_patterns_in_depth_one_mode() {
         let (nl, a, b, x, d, n) = xd_netlist();
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let shallow = ClosureVanishing::new(
-            &model,
-            VanishingRules {
-                closure: false,
-                ..VanishingRules::all()
-            },
-        );
-        let mut s = shallow.scratch();
-        assert!(shallow.vanishes(&Monomial::from_vars(vec![x, d]), &mut s));
-        assert!(shallow.vanishes(&Monomial::from_vars(vec![x, a, b]), &mut s));
-        assert!(shallow.vanishes(&Monomial::from_vars(vec![x, n]), &mut s));
-        assert!(!shallow.vanishes(&Monomial::from_vars(vec![x, a]), &mut s));
-        assert!(!shallow.vanishes(&Monomial::from_vars(vec![d, n]), &mut s));
+        let closure = ClosureVanishing::new(&model);
+        let mut s = closure.scratch();
+        assert!(closure.vanishes(&Monomial::from_vars(vec![x, d]), &mut s));
+        assert!(closure.vanishes(&Monomial::from_vars(vec![x, a, b]), &mut s));
+        assert!(closure.vanishes(&Monomial::from_vars(vec![x, n]), &mut s));
+        assert!(closure.vanishes(&Monomial::from_vars(vec![d, n]), &mut s));
+        assert!(!closure.vanishes(&Monomial::from_vars(vec![x, a]), &mut s));
     }
 
     #[test]
@@ -802,7 +657,7 @@ mod tests {
         let (nl, vars) = full_adder_netlist();
         let [a, b, c, ..] = vars;
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
-        let closure = ClosureVanishing::new(&model, VanishingRules::all());
+        let closure = ClosureVanishing::new(&model);
         let mut s = closure.scratch();
         let mut flagged = 0u32;
         for i in 0..vars.len() {

@@ -9,9 +9,9 @@
 //! once, and `MT-LR-PAR`, in its default closure mode, runs once and must
 //! reproduce the oracle's verdict, canonical remainder term count and
 //! grounded counterexample bit for bit. On the width-4 circuits and the
-//! mutants, `MT-LR-PAR` also runs with `VanishingRules { closure: false, .. }`
-//! (its Step 2 then cancels with the scan tracker's patterns) and must match
-//! the same reference: MT-LR ignores the flag.
+//! mutants, `MT-LR-PAR` also runs in `VanishingRules::XorAnd` mode (both of
+//! its phases then cancel with the scan tracker's patterns) and must match
+//! the same reference: MT-LR applies the tracker in both modes.
 //!
 //! The comparison is exact: the pipeline canonicalizes remainders modulo
 //! `2^(2n)`, and the fully reduced remainder is the unique multilinear normal
@@ -112,15 +112,17 @@ fn check_against_oracle(netlist: &Netlist, width: usize, budget: Budget) -> Repo
     reference
 }
 
-/// `MT-LR-PAR` with `closure: false` against the MT-LR reference already
+/// `MT-LR-PAR` in `XorAnd` mode against the MT-LR reference already
 /// computed for the circuit.
-fn check_closure_off(netlist: &Netlist, width: usize, budget: Budget, reference: &Report) {
-    let rules = VanishingRules {
-        closure: false,
-        ..VanishingRules::default()
-    };
-    let par = run_with_rules(netlist, width, Method::MtLrPar, budget, rules);
-    assert_outcome_matches(netlist, reference, &par, "MT-LR-PAR, closure off");
+fn check_xor_and_mode(netlist: &Netlist, width: usize, budget: Budget, reference: &Report) {
+    let par = run_with_rules(
+        netlist,
+        width,
+        Method::MtLrPar,
+        budget,
+        VanishingRules::XorAnd,
+    );
+    assert_outcome_matches(netlist, reference, &par, "MT-LR-PAR, XorAnd mode");
 }
 
 /// Every genmul architecture at width 4.
@@ -137,7 +139,7 @@ fn every_architecture_width_4_matches_mt_lr() {
             "{arch}: MT-LR must verify at width 4, got {:?}",
             reference.outcome
         );
-        check_closure_off(&netlist, 4, budget, &reference);
+        check_xor_and_mode(&netlist, 4, budget, &reference);
     }
 }
 
@@ -170,7 +172,7 @@ fn fault_injected_variants_produce_identical_counterexamples() {
     let budget = Budget::default();
     for (arch, mutant) in fault_injected_mutants(width) {
         let reference = check_against_oracle(&mutant, width, budget);
-        check_closure_off(&mutant, width, budget, &reference);
+        check_xor_and_mode(&mutant, width, budget, &reference);
         let Outcome::Mismatch { counterexample, .. } = &reference.outcome else {
             panic!(
                 "{arch}: mutant must be rejected, got {:?}",

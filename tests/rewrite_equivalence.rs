@@ -9,11 +9,11 @@
 //! pipeline, so each oracle result is computed once, there.
 //!
 //! Both strategies run through their `RewriteStrategy` entry, under one
-//! `PhaseContext` with `closure: false` and `modulus_bits: Some(2n)`. The
-//! byte-identity comparison thus runs the indexed engine in its **tracker
-//! mode** (`VanishingRules { closure: false, .. }`): the same static
-//! per-monomial pattern test as the oracle's tracker, judged at insertion
-//! instead of by post-step sweeps. Both sides' coefficients are
+//! `PhaseContext` with `rules: VanishingRules::XorAnd` and
+//! `modulus_bits: Some(2n)`. The byte-identity comparison thus runs the
+//! indexed engine in its **tracker mode**: the same static per-monomial
+//! pattern test as the oracle's tracker, judged at insertion instead of by
+//! post-step sweeps. Both sides' coefficients are
 //! canonicalized modulo `2^(2n)` before the sorted term dumps are compared:
 //! the indexed engine *stores* the canonical representative in
 //! `[0, 2^(2n))`, while the oracle keeps exact integers, and the two only
@@ -67,13 +67,11 @@ fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
         .expect("multiplier interface");
     let k = modulus.expect("multipliers have a modulus");
     let weights = spec_weights(&base, &spec, k);
-    // The oracle ignores the `closure` flag, the modulus and the weights;
-    // only the indexed engine reads them.
+    // The oracle applies the tracker in both `XorAnd` and `Closure` mode
+    // and ignores the modulus and the weights; only the indexed engine
+    // reads them.
     let uniform = PhaseContext {
-        rules: VanishingRules {
-            closure: false,
-            ..VanishingRules::default()
-        },
+        rules: VanishingRules::XorAnd,
         modulus_bits: Some(k),
         ..PhaseContext::default()
     };
