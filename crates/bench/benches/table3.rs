@@ -29,12 +29,12 @@ fn bench_table3(c: &mut Criterion) {
             &(model, spec),
             |b, (model, spec)| {
                 b.iter(|| {
-                    let (r, outcome, _) = GreedyReduction { vanishing: false }.reduce(
+                    let (r, stats) = GreedyReduction { vanishing: false }.reduce(
                         model,
                         spec,
                         &PhaseContext::default(),
                     );
-                    assert!(outcome.is_completed());
+                    assert_eq!(stats.stop, None);
                     assert!(r.drop_multiples_of_pow2(2 * width as u32).is_zero());
                 });
             },

@@ -1,32 +1,24 @@
 //! Quick perf probe for one (architecture, width, method) instance:
 //! `cargo run --release -p gbmv-bench --example idx_perf -- SP-RT-KS 8 par`.
 //! Methods: `lr` (MT-LR), `par` (MT-LR-PAR, default).
-//! Budget comes from the `GBMV_*` environment variables.
+//! Budget comes from the `GBMV_*` environment variables. An argument that
+//! does not parse stops the probe with exit status 2 before it runs.
 
-use gbmv_bench::{build_architecture, HarnessConfig};
-use gbmv_core::{Budget, Method, Outcome, Session, Spec};
+use gbmv_bench::{build_architecture, or_exit, parse_probe_args, HarnessConfig};
+use gbmv_core::{Outcome, Session, Spec};
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arch = args.get(1).map(String::as_str).unwrap_or("SP-RT-KS");
-    let width: usize = args.get(2).and_then(|w| w.parse().ok()).unwrap_or(8);
-    let method = match args.get(3).map(String::as_str) {
-        Some("lr") => Method::MtLr,
-        _ => Method::MtLrPar,
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (arch, width, method) = or_exit(parse_probe_args(&args));
     let config = HarnessConfig::from_env();
-    let netlist = build_architecture(arch, width);
+    let netlist = build_architecture(&arch, width);
     let start = Instant::now();
     let report = Session::extract(&netlist)
         .expect("acyclic")
         .spec(Spec::multiplier(width))
         .strategy(method)
-        .budget(Budget {
-            max_terms: config.max_terms,
-            deadline: Some(config.timeout),
-            ..Budget::default()
-        })
+        .budget(config.budget())
         .counterexamples(false)
         .run()
         .expect("interface");

@@ -7,7 +7,7 @@
 //! (`VanishingRules::Off`), and the full MT-LR — each a `Session` run with
 //! the strategy (or vanishing mode) swapped.
 
-use gbmv_bench::{build_architecture, format_duration, HarnessConfig};
+use gbmv_bench::{build_architecture, format_duration, or_exit, HarnessConfig};
 use gbmv_core::{Method, Outcome, Session, Spec, VanishingRules};
 
 fn run(
@@ -36,6 +36,7 @@ fn run(
 
 fn main() {
     let config = HarnessConfig::from_env();
+    let archs = or_exit(config.architectures(&["SP-CT-BK", "BP-WT-CL", "SP-AR-RC"]));
     let rules = VanishingRules::default();
     let no_rules = VanishingRules::Off;
     println!("Ablation: rewriting schemes and vanishing rules");
@@ -44,7 +45,7 @@ fn main() {
         "Benchmark", "width", "MT-FO", "MT-XOR", "MT-LR(no rule)", "MT-LR"
     );
     for &width in &config.widths {
-        for arch in ["SP-CT-BK", "BP-WT-CL", "SP-AR-RC"] {
+        for &arch in &archs {
             let fo = run(arch, width, Method::MtFo, rules, &config);
             let xor_only = run(arch, width, Method::MtXorOnly, rules, &config);
             let lr_no_rule = run(arch, width, Method::MtLr, no_rules, &config);

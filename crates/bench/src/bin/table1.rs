@@ -9,19 +9,17 @@
 //! `BENCH_table1.json` used to track the repo's perf trajectory.
 
 use gbmv_bench::{
-    bench_json_path, emit_comparison_row, print_comparison_header, table1_architectures,
+    bench_json_path, emit_comparison_row, or_exit, print_comparison_header, table1_architectures,
     write_bench_json, HarnessConfig,
 };
 
 fn main() {
     let config = HarnessConfig::from_env();
+    let archs = or_exit(config.architectures(&table1_architectures()));
     let mut records = Vec::new();
     print_comparison_header("Table I: verification results for simple partial product multipliers");
     for &width in &config.widths {
-        for arch in table1_architectures() {
-            if !config.selects(arch) {
-                continue;
-            }
+        for &arch in &archs {
             emit_comparison_row(arch, width, &config, &mut records);
         }
     }

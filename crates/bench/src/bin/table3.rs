@@ -4,21 +4,19 @@
 //!
 //! Configure with the `GBMV_*` environment variables (see `gbmv-bench`).
 
-use gbmv_bench::{format_duration, run_algebraic, table3_architectures, HarnessConfig};
+use gbmv_bench::{format_duration, or_exit, run_algebraic, table3_architectures, HarnessConfig};
 use gbmv_core::Method;
 
 fn main() {
     let config = HarnessConfig::from_env();
+    let archs = or_exit(config.architectures(&table3_architectures()));
     println!("Table III: statistics for verification of multipliers by MT-LR");
     println!(
         "{:<12} {:>7} {:>9} {:>14} {:>8} {:>9} {:>6} {:>5}  status",
         "Benchmark", "I/O", "#CVM", "GB reduction", "#P", "#M", "#MP", "#VM"
     );
     for &width in &config.widths {
-        for arch in table3_architectures() {
-            if !config.selects(arch) {
-                continue;
-            }
+        for &arch in &archs {
             let (cell, report) = run_algebraic(arch, width, Method::MtLr, &config);
             let stats = &report.stats;
             println!(

@@ -20,8 +20,9 @@
 //!
 //! An unset or empty variable keeps its default. Any other value must parse
 //! in full: a width, timeout, term limit or conflict budget that is not a
-//! number, or an unknown architecture name, stops the binary with an error
-//! that names the variable and its value.
+//! number, an unknown architecture name, or a `GBMV_ARCHS` name outside the
+//! binary's own table stops the binary with exit status 2 and an error that
+//! names the variable and its value.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -80,16 +81,54 @@ fn parse_list<T>(value: &str, item: impl Fn(&str) -> Option<T>) -> Option<Vec<T>
     value.split(',').map(|x| item(x.trim())).collect()
 }
 
+/// The parsed value, or, on an error, the end of the process: prints
+/// `error: <err>` and exits with status 2 before anything runs.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses the positional arguments `[ARCH [WIDTH [METHOD]]]` of the
+/// `idx_perf` example, without the program name. An absent argument keeps
+/// its default: `SP-RT-KS`, width 8, method `par`. A present one must be an
+/// architecture [`MultiplierSpec::parse`] knows, a positive width, and `lr`
+/// (MT-LR) or `par` (MT-LR-PAR); otherwise the error names the argument and
+/// its value.
+pub fn parse_probe_args(args: &[String]) -> Result<(String, usize, Method), String> {
+    let bad =
+        |name: &str, value: &str, expected: &str| format!("{name} {value:?}: expected {expected}");
+    if let Some(extra) = args.get(3) {
+        return Err(bad("argument", extra, "at most three arguments"));
+    }
+    let width = match args.get(1) {
+        None => 8,
+        Some(w) => w
+            .parse()
+            .ok()
+            .filter(|&w: &usize| w > 0)
+            .ok_or_else(|| bad("width", w, "a positive integer"))?,
+    };
+    let arch = args.first().map_or("SP-RT-KS", String::as_str);
+    if MultiplierSpec::parse(arch, width).is_none() {
+        return Err(bad("architecture", arch, "a name such as SP-AR-RC"));
+    }
+    let method = match args.get(2).map_or("par", String::as_str) {
+        "lr" => Method::MtLr,
+        "par" => Method::MtLrPar,
+        other => return Err(bad("method", other, "lr or par")),
+    };
+    Ok((arch.to_string(), width, method))
+}
+
 impl HarnessConfig {
     /// Reads the configuration from the `GBMV_*` environment variables (see
     /// the crate docs). Prints the offending variable and its value, and
     /// exits the process with status 2, when a value does not parse.
     pub fn from_env() -> Self {
         let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-        HarnessConfig::from_vars(var).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2)
-        })
+        or_exit(HarnessConfig::from_vars(var))
     }
 
     /// Reads the configuration through `var`, which maps a `GBMV_*` name to
@@ -126,12 +165,25 @@ impl HarnessConfig {
         })
     }
 
-    /// Whether this configuration selects `arch` (true unless `GBMV_ARCHS`
-    /// names a different subset).
-    pub fn selects(&self, arch: &str) -> bool {
-        self.archs
-            .as_ref()
-            .is_none_or(|a| a.iter().any(|x| x == arch))
+    /// The architectures of a binary's `table` that this configuration
+    /// runs, in `table`'s order: all of them, or the ones `GBMV_ARCHS`
+    /// names. A `GBMV_ARCHS` name outside `table` is an error that names
+    /// the variable, the name and `table`.
+    pub fn architectures<'a>(&self, table: &[&'a str]) -> Result<Vec<&'a str>, String> {
+        let Some(archs) = &self.archs else {
+            return Ok(table.to_vec());
+        };
+        if let Some(name) = archs.iter().find(|a| !table.contains(&a.as_str())) {
+            return Err(format!(
+                "GBMV_ARCHS names {name:?}: expected one of {}",
+                table.join(", ")
+            ));
+        }
+        Ok(table
+            .iter()
+            .copied()
+            .filter(|t| archs.iter().any(|a| a == t))
+            .collect())
     }
 
     /// The per-run resource budget this configuration stands for.
@@ -603,6 +655,53 @@ mod tests {
                 archs: Some(vec!["SP-AR-RC".to_string(), "BP-RT-KS".to_string()]),
             }
         );
+    }
+
+    /// `GBMV_ARCHS` picks from a binary's own table, in the table's order,
+    /// and a name outside the table is an error that names it.
+    #[test]
+    fn archs_select_from_the_binary_table() {
+        let table = table1_architectures();
+        let select = |value: &str| {
+            HarnessConfig::from_vars(vars(&[("GBMV_ARCHS", value)]))
+                .unwrap()
+                .architectures(&table)
+        };
+        assert_eq!(select(""), Ok(table.clone()));
+        assert_eq!(
+            select("SP-CT-BK,SP-AR-RC"),
+            Ok(vec!["SP-AR-RC", "SP-CT-BK"])
+        );
+        let err = select("SP-AR-RC,BP-WT-CL").unwrap_err();
+        for part in ["GBMV_ARCHS", "\"BP-WT-CL\"", &table.join(", ")] {
+            assert!(err.contains(part), "{err}");
+        }
+    }
+
+    /// `idx_perf`'s arguments keep their defaults when absent and name
+    /// themselves when they do not parse.
+    #[test]
+    fn probe_args_parse_or_name_the_argument() {
+        let parse = |args: &[&str]| {
+            parse_probe_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse(&[]), Ok(("SP-RT-KS".to_string(), 8, Method::MtLrPar)));
+        assert_eq!(
+            parse(&["SP-AR-RC", "4", "lr"]),
+            Ok(("SP-AR-RC".to_string(), 4, Method::MtLr))
+        );
+        for (args, want) in [
+            (&["SP-AR-RC", "abc"][..], "width \"abc\": expected"),
+            (
+                &["SP-AR-RC", "4", "nonsense"],
+                "method \"nonsense\": expected",
+            ),
+            (&["NOPE", "4"], "architecture \"NOPE\": expected"),
+            (&["SP-AR-RC", "0"], "width \"0\": expected"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(want), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! Each provided strategy is the only entry to its engine, and a
 //! [`PhaseContext`] is the only configuration an engine reads: the term
 //! limit, the cancellation token, the vanishing mode ([`VanishingRules`]),
-//! the modulus and the spec weights of the run.
+//! the modulus and the spec weights of the run. Both phases report a
+//! [`PhaseStats`], whose [`Stop`] names the resource that ended the phase
+//! early; the session maps it to the run's [`Outcome`] and times each
+//! phase.
 //!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom
@@ -80,12 +83,11 @@ pub use counterexample::{Counterexample, InputBit};
 pub use model::{AlgebraicModel, ExtractError, GateFunction};
 pub use parallel::ParallelReduction;
 pub use portfolio::{Portfolio, PortfolioReport, StrategyRun};
-pub use reduction::{GreedyReduction, ReductionOutcome, ReductionStats};
-pub use rewrite::RewriteStats;
+pub use reduction::GreedyReduction;
 pub use session::{Outcome, Phase, Progress, Report, RunStats, Session, SessionError};
 pub use spec::{Spec, SpecError};
 pub use strategy::{
     FanoutRewrite, IndexedLogicReductionRewrite, LogicReductionRewrite, Method, NoRewrite,
-    PhaseContext, ReductionStrategy, RewriteStrategy, XorRewrite,
+    PhaseContext, PhaseStats, ReductionStrategy, RewriteStrategy, Stop, XorRewrite,
 };
 pub use vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};

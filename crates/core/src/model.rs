@@ -255,11 +255,6 @@ impl AlgebraicModel {
         self.names.len()
     }
 
-    /// The fanout count of a variable in the original netlist.
-    pub fn fanout(&self, v: Var) -> usize {
-        self.fanout[v.index()]
-    }
-
     /// Primary input variables in declaration order.
     pub fn inputs(&self) -> &[Var] {
         &self.inputs

@@ -31,16 +31,13 @@
 //! counterexamples equal the scan-based engine's. The engine reads its term
 //! limit, token, vanishing mode and modulus from the [`PhaseContext`]
 //! alone; it polls [`PhaseContext::token`], and a cancellation or deadline
-//! expiry stops the step at its next polling point.
-
-use std::time::Instant;
+//! expiry stops the step at its next polling point with [`Stop::Token`].
 
 use gbmv_poly::{IndexedPolynomial, Polynomial, Var};
 
 use crate::model::AlgebraicModel;
-use crate::reduction::{ReductionOutcome, ReductionStats};
 use crate::rewrite::{substitute_step, RewriteVanishing};
-use crate::strategy::{PhaseContext, ReductionStrategy};
+use crate::strategy::{PhaseContext, PhaseStats, ReductionStrategy, Stop};
 
 /// The [`ReductionStrategy`] of the preset [`crate::Method::MtLrPar`]: the
 /// indexed engine of the module docs. Vanishing follows the run's
@@ -58,10 +55,8 @@ impl ReductionStrategy for ParallelReduction {
         model: &AlgebraicModel,
         spec: &Polynomial,
         ctx: &PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let start = Instant::now();
-        let max_terms = ctx.max_terms;
-        let mut stats = ReductionStats::default();
+    ) -> (Polynomial, PhaseStats) {
+        let mut stats = PhaseStats::default();
         let mut vanishing = RewriteVanishing::new(model, ctx.rules);
 
         // The vanishing predicate is applied to the incoming spec once;
@@ -105,13 +100,11 @@ impl ReductionStrategy for ParallelReduction {
         let mut retired_cols = 0u64;
         let mut since_poll = 0usize;
 
-        let outcome = loop {
+        stats.stop = loop {
             // Only the ingested spec can exceed the budget here: every step
             // keeps the store within it (see `substitute_step`).
-            if r.num_terms() > max_terms {
-                break ReductionOutcome::LimitExceeded {
-                    terms: r.num_terms(),
-                };
+            if r.num_terms() > ctx.max_terms {
+                break Some(Stop::Terms);
             }
             // Candidate selection — the same rule as `GreedyReduction`: among the
             // variables of the highest present logic level, the smallest
@@ -152,7 +145,7 @@ impl ReductionStrategy for ParallelReduction {
             retired_cols |= newly_retired;
             active_cols = next_active;
             let Some((_, _, _, idx)) = best else {
-                break ReductionOutcome::Completed;
+                break None;
             };
             let v = Var(idx);
 
@@ -160,37 +153,26 @@ impl ReductionStrategy for ParallelReduction {
             // terms actually containing `v` are touched.
             let tail = model.tail(v).expect("candidate has a tail");
             let extracted = r.extract_terms_containing(v);
-            let step = substitute_step(
+            if let Err(stop) = substitute_step(
                 &mut r,
                 &extracted,
                 v,
                 tail,
                 vanishing.as_mut(),
-                max_terms,
-                &ctx.token,
+                ctx,
                 &mut since_poll,
-            );
-            match step {
-                Ok(cancelled) => stats.cancelled_vanishing += cancelled,
-                Err(stop) => {
-                    if let ReductionOutcome::LimitExceeded { terms } = stop {
-                        stats.peak_terms = stats.peak_terms.max(terms);
-                    }
-                    break stop;
-                }
+                &mut stats,
+            ) {
+                break Some(stop);
             }
             stats.substitutions += 1;
-
-            stats.peak_terms = stats.peak_terms.max(r.num_terms());
-            if let Some(stop) = ReductionOutcome::from_token(&ctx.token) {
-                break stop;
+            if ctx.token.expired() {
+                break Some(Stop::Token);
             }
         };
         stats.index_hits = r.index_hits();
         stats.final_terms = r.num_terms();
-        let remainder = r.into_polynomial();
-        stats.elapsed = start.elapsed();
-        (remainder, outcome, stats)
+        (r.into_polynomial(), stats)
     }
 }
 
@@ -222,10 +204,10 @@ mod tests {
         let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
         let k = modulus.unwrap();
         let ctx = context(modulus);
-        let (greedy, outcome, _) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
-        assert!(outcome.is_completed());
-        let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
-        assert!(outcome.is_completed(), "{outcome:?}");
+        let (greedy, stats) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, None);
+        let (r, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, None);
         assert_eq!(
             r.mod_coeffs_pow2(k),
             greedy.mod_coeffs_pow2(k),
@@ -243,8 +225,8 @@ mod tests {
         // only terminates when no tracked variable is left.
         let (model, spec, modulus) = model_and_spec("SP-CT-BK", 4);
         let ctx = context(modulus);
-        let (r, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
-        assert!(outcome.is_completed());
+        let (r, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, None);
         assert!(r.is_zero(), "correct multiplier must verify");
         assert!(stats.cancelled_vanishing > 0);
         assert!(
@@ -260,8 +242,8 @@ mod tests {
             max_terms: 50,
             ..context(modulus)
         };
-        let (_, outcome, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
-        assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
+        let (_, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, Some(Stop::Terms));
         assert!(stats.peak_terms > 50);
     }
 
@@ -274,8 +256,8 @@ mod tests {
             token,
             ..context(modulus)
         };
-        let (_, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
-        assert_eq!(outcome, ReductionOutcome::Cancelled);
+        let (_, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, Some(Stop::Token));
     }
 
     #[test]
@@ -287,10 +269,10 @@ mod tests {
         let (spec, modulus) = Spec::adder(6).instantiate(&model).unwrap();
         assert_eq!(modulus, None);
         let ctx = context(None);
-        let (greedy, outcome, _) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
-        assert!(outcome.is_completed());
-        let (r, outcome, _) = ParallelReduction.reduce(&model, &spec, &ctx);
-        assert!(outcome.is_completed());
+        let (greedy, stats) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, None);
+        let (r, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, None);
         assert_eq!(r, greedy);
     }
 
@@ -316,23 +298,26 @@ mod tests {
 
     /// Runs [`large_step`] through the shared product loop into an empty
     /// store kept mod `2^8`, under `max_terms`. Returns the resulting term
-    /// table and the step's result.
-    fn run_large_step(max_terms: usize) -> (Polynomial, Result<u64, ReductionOutcome>) {
+    /// table, the step's result and its report.
+    fn run_large_step(max_terms: usize) -> (Polynomial, Result<(), Stop>, PhaseStats) {
         let (extracted, tail, v) = large_step();
         let mut r = IndexedPolynomial::new(vec![false; 17], Some(8));
-        let token = DeadlineToken::new();
-        let result = substitute_step(
-            &mut r, &extracted, v, &tail, None, max_terms, &token, &mut 0,
-        );
-        (r.into_polynomial(), result)
+        let ctx = PhaseContext {
+            max_terms,
+            ..PhaseContext::default()
+        };
+        let mut stats = PhaseStats::default();
+        let result = substitute_step(&mut r, &extracted, v, &tail, None, &ctx, &mut 0, &mut stats);
+        (r.into_polynomial(), result, stats)
     }
 
     /// The step's term table equals the plain polynomial substitution of the
     /// same terms, reduced mod `2^8`.
     #[test]
     fn sharded_expansion_matches_serial() {
-        let (table, result) = run_large_step(usize::MAX);
-        assert_eq!(result, Ok(0));
+        let (table, result, stats) = run_large_step(usize::MAX);
+        assert_eq!(result, Ok(()));
+        assert_eq!(stats.cancelled_vanishing, 0);
         assert!(table.num_terms() > 0);
         let (extracted, tail, v) = large_step();
         let want = Polynomial::from_terms(extracted)
@@ -346,14 +331,9 @@ mod tests {
     #[test]
     fn sharded_step_stops_at_the_term_bound() {
         for max_terms in [1_000, 20_000] {
-            let (_, result) = run_large_step(max_terms);
-            assert_eq!(
-                result,
-                Err(ReductionOutcome::LimitExceeded {
-                    terms: max_terms + 1
-                }),
-                "{max_terms} terms"
-            );
+            let (_, result, stats) = run_large_step(max_terms);
+            assert_eq!(result, Err(Stop::Terms), "{max_terms} terms");
+            assert_eq!(stats.peak_terms, max_terms + 1, "{max_terms} terms");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The portfolio driver: several strategies against one extracted model.
 //!
 //! A [`Portfolio`] extracts the algebraic model of a netlist once and runs
-//! multiple strategies — [`Method`] presets, custom strategy pairs, and the
-//! SAT miter baseline behind the same surface — against the same
-//! specification. Two execution modes are provided:
+//! multiple strategies — [`Method`] presets and the SAT miter baseline
+//! behind the same surface — against the same specification. Two execution
+//! modes are provided:
 //!
 //! * [`Portfolio::run_all`] runs every strategy to completion sequentially —
 //!   what the paper's comparison tables need (per-strategy wall-clock and
@@ -25,22 +25,23 @@ use crate::counterexample::ground_assignment;
 use crate::model::{AlgebraicModel, ExtractError};
 use crate::session::{run_pipeline, Outcome, Phase, Progress, RunStats, SessionError};
 use crate::spec::Spec;
-use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
+use crate::strategy::{Method, PhaseContext};
 use crate::vanishing::VanishingRules;
 
-enum EntryKind {
-    Algebraic {
-        rewrite: Box<dyn RewriteStrategy>,
-        reduction: Box<dyn ReductionStrategy>,
-    },
-    SatMiter {
-        conflict_budget: Option<u64>,
-    },
+/// One strategy of a portfolio.
+enum Entry {
+    Algebraic(Method),
+    SatMiter { conflict_budget: Option<u64> },
 }
 
-struct PortfolioEntry {
-    name: String,
-    kind: EntryKind,
+impl Entry {
+    /// The display name of the strategy's runs.
+    fn name(&self) -> &'static str {
+        match self {
+            Entry::Algebraic(method) => method.name(),
+            Entry::SatMiter { .. } => "CEC",
+        }
+    }
 }
 
 /// The result of one strategy inside a portfolio run.
@@ -108,7 +109,7 @@ pub struct Portfolio {
     rules: VanishingRules,
     budget: Budget,
     counterexamples: bool,
-    entries: Vec<PortfolioEntry>,
+    entries: Vec<Entry>,
 }
 
 impl std::fmt::Debug for Portfolio {
@@ -117,11 +118,7 @@ impl std::fmt::Debug for Portfolio {
             .field("spec", &self.spec.as_ref().map(Spec::name))
             .field(
                 "strategies",
-                &self
-                    .entries
-                    .iter()
-                    .map(|e| e.name.clone())
-                    .collect::<Vec<_>>(),
+                &self.entries.iter().map(Entry::name).collect::<Vec<_>>(),
             )
             .field("budget", &self.budget)
             .finish_non_exhaustive()
@@ -171,30 +168,7 @@ impl Portfolio {
 
     /// Adds one of the paper's preset methods as a strategy.
     pub fn method(mut self, method: Method) -> Portfolio {
-        self.entries.push(PortfolioEntry {
-            name: method.name().to_string(),
-            kind: EntryKind::Algebraic {
-                rewrite: method.rewrite_strategy(),
-                reduction: method.reduction_strategy(),
-            },
-        });
-        self
-    }
-
-    /// Adds a custom rewrite/reduction strategy pair under a display name.
-    pub fn strategy(
-        mut self,
-        name: impl Into<String>,
-        rewrite: impl RewriteStrategy + 'static,
-        reduction: impl ReductionStrategy + 'static,
-    ) -> Portfolio {
-        self.entries.push(PortfolioEntry {
-            name: name.into(),
-            kind: EntryKind::Algebraic {
-                rewrite: Box::new(rewrite),
-                reduction: Box::new(reduction),
-            },
-        });
+        self.entries.push(Entry::Algebraic(method));
         self
     }
 
@@ -202,10 +176,7 @@ impl Portfolio {
     /// against a golden array multiplier with the given conflict budget.
     /// Requires an unsigned multiplier [`Spec`].
     pub fn sat_baseline(mut self, conflict_budget: Option<u64>) -> Portfolio {
-        self.entries.push(PortfolioEntry {
-            name: "CEC".to_string(),
-            kind: EntryKind::SatMiter { conflict_budget },
-        });
+        self.entries.push(Entry::SatMiter { conflict_budget });
         self
     }
 
@@ -218,7 +189,7 @@ impl Portfolio {
         let needs_sat = self
             .entries
             .iter()
-            .any(|e| matches!(e.kind, EntryKind::SatMiter { .. }));
+            .any(|e| matches!(e, Entry::SatMiter { .. }));
         if needs_sat && spec.unsigned_multiplier_width().is_none() {
             return Err(SessionError::SatBaselineUnsupported { spec: spec.name() });
         }
@@ -227,15 +198,16 @@ impl Portfolio {
 
     fn execute(
         &self,
-        entry: &PortfolioEntry,
+        entry: &Entry,
         spec: &Spec,
         spec_poly: &Polynomial,
         modulus_bits: Option<u32>,
         token: DeadlineToken,
     ) -> StrategyRun {
         let start = Instant::now();
-        match &entry.kind {
-            EntryKind::Algebraic { rewrite, reduction } => {
+        let strategy = entry.name().to_string();
+        match entry {
+            Entry::Algebraic(method) => {
                 let ctx = PhaseContext {
                     max_terms: self.budget.max_terms,
                     token,
@@ -245,24 +217,24 @@ impl Portfolio {
                 };
                 let mut noop = |_: &Progress| {};
                 let report = run_pipeline(
-                    entry.name.clone(),
+                    strategy.clone(),
                     &self.model,
                     spec_poly,
                     modulus_bits,
-                    rewrite.as_ref(),
-                    reduction.as_ref(),
+                    method.rewrite_strategy().as_ref(),
+                    method.reduction_strategy().as_ref(),
                     &ctx,
                     self.counterexamples.then_some(spec),
                     &mut noop,
                 );
                 StrategyRun {
-                    strategy: entry.name.clone(),
+                    strategy,
                     outcome: report.outcome,
                     stats: Some(report.stats),
                     elapsed: start.elapsed(),
                 }
             }
-            EntryKind::SatMiter { conflict_budget } => {
+            Entry::SatMiter { conflict_budget } => {
                 let width = spec
                     .unsigned_multiplier_width()
                     .expect("validated by prepared()");
@@ -287,7 +259,7 @@ impl Portfolio {
                     }
                 };
                 StrategyRun {
-                    strategy: entry.name.clone(),
+                    strategy,
                     outcome,
                     stats: None,
                     elapsed: start.elapsed(),

@@ -8,9 +8,9 @@
 //! variable substitution ([`gbmv_poly::Polynomial::substitute`]).
 //!
 //! The reduction tracks the statistics the paper reports (peak intermediate
-//! size, number of substitutions, run time) and supports resource limits so
-//! that intentionally diverging configurations (e.g. MT-FO on a Kogge-Stone
-//! multiplier) terminate with [`ReductionOutcome::LimitExceeded`] instead of
+//! size, number of substitutions) in a [`crate::PhaseStats`] and supports
+//! resource limits, so that intentionally diverging configurations (e.g.
+//! MT-FO on a Kogge-Stone multiplier) stop with [`Stop::Terms`] instead of
 //! exhausting memory.
 //!
 //! [`GreedyReduction`] is the scan-based reference engine, kept deliberately
@@ -19,78 +19,11 @@
 //! only entry to its loop, and reads its term limit, token, modulus and
 //! vanishing mode from the [`PhaseContext`].
 
-use std::time::{Duration, Instant};
-
 use gbmv_poly::{FastMap, Polynomial, Var};
 
-use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
-use crate::strategy::{PhaseContext, ReductionStrategy};
+use crate::strategy::{PhaseContext, PhaseStats, ReductionStrategy, Stop};
 use crate::vanishing::{VanishingRules, VanishingTracker};
-
-/// Why a reduction run ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReductionOutcome {
-    /// All substitutions were performed; the remainder is final.
-    Completed,
-    /// The intermediate polynomial exceeded the configured term limit.
-    LimitExceeded {
-        /// Number of terms when the limit was hit. The indexed engine stops
-        /// inside a step and reports its step bound, `max_terms + 1`.
-        terms: usize,
-    },
-    /// The cancellation token's deadline passed.
-    TimedOut,
-    /// The cancellation token was cancelled from outside (e.g. another
-    /// portfolio strategy finished first).
-    Cancelled,
-}
-
-impl ReductionOutcome {
-    /// Returns `true` if the reduction ran to completion.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, ReductionOutcome::Completed)
-    }
-
-    /// How a run stops once its token has expired: `Cancelled` after an
-    /// explicit cancel, `TimedOut` after the deadline; `None` while the token
-    /// is live.
-    pub(crate) fn from_token(token: &DeadlineToken) -> Option<Self> {
-        if token.is_cancelled() {
-            Some(ReductionOutcome::Cancelled)
-        } else if token.deadline_expired() {
-            Some(ReductionOutcome::TimedOut)
-        } else {
-            None
-        }
-    }
-}
-
-/// Statistics of one Gröbner basis reduction run.
-#[derive(Debug, Clone, Default)]
-pub struct ReductionStats {
-    /// Number of variable substitutions performed.
-    pub substitutions: usize,
-    /// Peak number of terms of the intermediate remainder.
-    pub peak_terms: usize,
-    /// Number of terms of the final remainder (before modulo reduction).
-    pub final_terms: usize,
-    /// Number of monomials removed by the vanishing rules *during the
-    /// reduction* (the reduction-phase share of `#CVM`; zero for
-    /// [`GreedyReduction`] without `vanishing`).
-    pub cancelled_vanishing: u64,
-    /// Number of terms the indexed engines retrieved through the inverted
-    /// var→term index (one per extracted term; zero for the scan-based
-    /// reference engine).
-    pub index_hits: u64,
-    /// Number of output columns that lost their last tracked-variable
-    /// occurrence during an indexed reduction (their remaining terms are
-    /// input-only and retire out of the indexed hot path; zero for the
-    /// scan-based reference engine).
-    pub columns_retired: usize,
-    /// Wall-clock time of the reduction.
-    pub elapsed: Duration,
-}
 
 /// The scan-based reduction (Algorithm 1) behind the paper's presets, and
 /// the differential oracle of [`crate::ParallelReduction`]: greedy
@@ -109,11 +42,10 @@ pub struct ReductionStats {
 ///
 /// It reads from the [`PhaseContext`]:
 ///
-/// * `max_terms`: the reduction stops with
-///   [`ReductionOutcome::LimitExceeded`] after the step that passes it;
+/// * `max_terms`: the reduction stops with [`Stop::Terms`] after the step
+///   that passes it;
 /// * `token`: polled after every substitution, it stops the reduction with
-///   [`ReductionOutcome::Cancelled`] (explicit cancel) or
-///   [`ReductionOutcome::TimedOut`] (deadline);
+///   [`Stop::Token`];
 /// * `modulus_bits`: with `Some(k)`, terms whose coefficient is a multiple
 ///   of `2^k` are dropped after every substitution instead of only at the
 ///   end. For a `mod 2^k` specification this is sound — substitution maps
@@ -128,9 +60,9 @@ pub struct ReductionStats {
 /// * `rules`: with `vanishing`, the [`VanishingTracker`] is applied unless
 ///   the mode is [`VanishingRules::Off`].
 ///
-/// The remainder only mentions primary-input variables when the outcome is
-/// [`ReductionOutcome::Completed`] and the model still contains a polynomial
-/// for every internal variable of `spec`'s cone.
+/// The remainder only mentions primary-input variables when the reduction
+/// did not stop and the model still contains a polynomial for every
+/// internal variable of `spec`'s cone.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyReduction {
     /// Apply the [`VanishingTracker`] after every substitution, unless the
@@ -141,7 +73,7 @@ pub struct GreedyReduction {
     /// is the same logic reduction the paper applies during rewriting and is
     /// what keeps redundant-binary trees and wide parallel-prefix adders
     /// from blowing up during Step 3. The removed monomials count towards
-    /// [`ReductionStats::cancelled_vanishing`] (`#CVM`).
+    /// [`PhaseStats::cancelled_vanishing`] (`#CVM`).
     pub vanishing: bool,
 }
 
@@ -159,18 +91,17 @@ impl ReductionStrategy for GreedyReduction {
         model: &AlgebraicModel,
         spec: &Polynomial,
         ctx: &PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let start = Instant::now();
+    ) -> (Polynomial, PhaseStats) {
         // The gate-function index survives rewriting (only tails change), so
         // the tracker can be built from the rewritten model.
         let tracker = (self.vanishing && ctx.rules != VanishingRules::Off)
             .then(|| VanishingTracker::new(model));
-        let mut stats = ReductionStats::default();
+        let mut stats = PhaseStats::default();
         let mut r = spec.clone();
         let mut scratch = Polynomial::zero();
         let mut occurrences: FastMap<Var, usize> = FastMap::default();
         stats.peak_terms = r.num_terms();
-        let outcome = loop {
+        stats.stop = loop {
             // Count, per substitutable variable, the number of terms it
             // appears in. One pass over the remainder per step — the same
             // asymptotic cost as the substitution itself.
@@ -200,7 +131,7 @@ impl ReductionStrategy for GreedyReduction {
                 })
                 .min();
             let Some((_, idx)) = candidate else {
-                break ReductionOutcome::Completed;
+                break None;
             };
             let v = Var(idx);
             let tail = model.tail(v).expect("candidate has a tail");
@@ -215,17 +146,14 @@ impl ReductionStrategy for GreedyReduction {
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
             if r.num_terms() > ctx.max_terms {
-                break ReductionOutcome::LimitExceeded {
-                    terms: stats.peak_terms,
-                };
+                break Some(Stop::Terms);
             }
-            if let Some(stop) = ReductionOutcome::from_token(&ctx.token) {
-                break stop;
+            if ctx.token.expired() {
+                break Some(Stop::Token);
             }
         };
         stats.final_terms = r.num_terms();
-        stats.elapsed = start.elapsed();
-        (r, outcome, stats)
+        (r, stats)
     }
 }
 
@@ -238,10 +166,7 @@ mod tests {
 
     /// The scan reduction without vanishing or modulus, under the default
     /// context.
-    fn reduce(
-        model: &AlgebraicModel,
-        spec: &Polynomial,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
+    fn reduce(model: &AlgebraicModel, spec: &Polynomial) -> (Polynomial, PhaseStats) {
         GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default())
     }
 
@@ -274,8 +199,8 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-        let (r, outcome, stats) = reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, stats) = reduce(&model, &spec);
+        assert_eq!(stats.stop, None);
         assert!(
             r.is_zero(),
             "remainder must vanish, got {}",
@@ -291,8 +216,8 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let var = |name: &str| Var(nl.find_net(name).unwrap().0);
         let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-        let (r, outcome, _) = reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, stats) = reduce(&model, &spec);
+        assert_eq!(stats.stop, None);
         assert!(!r.is_zero(), "buggy adder must not verify");
         // The remainder only mentions primary inputs.
         for v in r.vars() {
@@ -314,8 +239,8 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, stats) = reduce(&model, &spec);
+        assert_eq!(stats.stop, None);
         assert!(r.is_zero());
     }
 
@@ -333,8 +258,8 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, _) = reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, stats) = reduce(&model, &spec);
+        assert_eq!(stats.stop, None);
         assert!(r.is_zero());
     }
 
@@ -358,12 +283,9 @@ mod tests {
         };
         for vanishing in [false, true] {
             let engine = GreedyReduction { vanishing };
-            let (_, outcome, stats) = engine.reduce(&model, &spec, &ctx);
+            let (_, stats) = engine.reduce(&model, &spec, &ctx);
             let name = engine.name();
-            assert!(
-                matches!(outcome, ReductionOutcome::LimitExceeded { .. }),
-                "{name}: {outcome:?}"
-            );
+            assert_eq!(stats.stop, Some(Stop::Terms), "{name}");
             assert!(stats.peak_terms > 50, "{name}");
         }
     }
@@ -383,9 +305,9 @@ mod tests {
             let model = AlgebraicModel::from_netlist(&nl).unwrap();
             let var = |name: &str| Var(nl.find_net(name).unwrap().0);
             let spec = full_adder_spec(var("a"), var("b"), var("cin"), var("s"), var("c"));
-            let (r1, o1, s1) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
-            let (r2, o2, s2) = crate::ParallelReduction.reduce(&model, &spec, &ctx);
-            assert!(o1.is_completed() && o2.is_completed());
+            let (r1, s1) = GreedyReduction { vanishing: false }.reduce(&model, &spec, &ctx);
+            let (r2, s2) = crate::ParallelReduction.reduce(&model, &spec, &ctx);
+            assert_eq!((s1.stop, s2.stop), (None, None));
             assert_eq!(r1, r2, "bug = {bug}");
             assert_eq!(s1.substitutions, s2.substitutions);
         }
@@ -404,8 +326,8 @@ mod tests {
             (Monomial::var(Var(z.0)), Int::from(-1)),
             (Monomial::var(Var(a.0)), Int::one()),
         ]);
-        let (r, outcome, _) = reduce(&model, &spec);
-        assert!(outcome.is_completed());
+        let (r, stats) = reduce(&model, &spec);
+        assert_eq!(stats.stop, None);
         assert!(r.is_zero());
     }
 }

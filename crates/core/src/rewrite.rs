@@ -25,62 +25,14 @@
 //! rebuilds a tail per substitution; the fourth runs the indexed rewriter,
 //! whose product loop Step 3 of `MT-LR-PAR` shares. Both engines read their
 //! term limit, token, modulus and spec weights from the
-//! [`crate::PhaseContext`] alone. This module also holds the statistics of
-//! a pass ([`RewriteStats`]) and the spec weights of a run
-//! ([`spec_weights`]).
-
-use std::time::{Duration, Instant};
+//! [`crate::PhaseContext`] alone, and report a [`crate::PhaseStats`]. This
+//! module also holds the spec weights of a run ([`spec_weights`]).
 
 use gbmv_poly::{FastSet, IndexedPolynomial, Int, Monomial, Polynomial, Var};
 
-use crate::budget::DeadlineToken;
 use crate::model::{AlgebraicModel, GateFunction};
-use crate::reduction::ReductionOutcome;
-use crate::strategy::PhaseContext;
+use crate::strategy::{PhaseContext, PhaseStats, Stop};
 use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
-
-/// Statistics of one or more rewriting passes.
-#[derive(Debug, Clone, Default)]
-pub struct RewriteStats {
-    /// Total number of variable substitutions performed.
-    pub substitutions: usize,
-    /// Number of monomials removed by the vanishing rule (`#CVM`).
-    pub cancelled_vanishing: u64,
-    /// Number of polynomials removed from the model (`UpdateModel`).
-    pub removed_polynomials: usize,
-    /// Peak number of terms of any tail during rewriting.
-    pub peak_terms: usize,
-    /// Number of terms the indexed rewriter retrieved through the inverted
-    /// var→term index (one per extracted term; zero for the scan-based
-    /// engine).
-    pub index_hits: u64,
-    /// Number of output columns completed by the rewrite pass: column `j`
-    /// counts once the pass moves past the last model polynomial whose
-    /// backward cone reaches primary output `j` — every tail feeding that
-    /// column is final from then on. Summed over passes (XOR + common for
-    /// logic reduction); zero for the scan-based engine and for passes that
-    /// stop at a resource limit.
-    pub columns_retired: usize,
-    /// Wall-clock time spent rewriting.
-    pub elapsed: Duration,
-    /// True if the pass hit a resource limit and the model is only partially
-    /// rewritten (still sound, but reduction may blow up).
-    pub limit_exceeded: bool,
-}
-
-impl RewriteStats {
-    /// Adds the statistics of a later pass to this one.
-    pub(crate) fn merge(&mut self, other: &RewriteStats) {
-        self.substitutions += other.substitutions;
-        self.cancelled_vanishing += other.cancelled_vanishing;
-        self.removed_polynomials += other.removed_polynomials;
-        self.peak_terms = self.peak_terms.max(other.peak_terms);
-        self.index_hits += other.index_hits;
-        self.columns_retired += other.columns_retired;
-        self.elapsed += other.elapsed;
-        self.limit_exceeded |= other.limit_exceeded;
-    }
-}
 
 /// The spec weight `W(v)` of every model variable, indexed by
 /// [`Var::index`]: the smallest 2-adic valuation of the coefficient of a
@@ -135,17 +87,16 @@ pub fn spec_weights(model: &AlgebraicModel, spec: &Polynomial, k: u32) -> Vec<u3
 /// variables are not in `keep` and are not primary outputs are removed from
 /// the model.
 ///
-/// The pass stops, with [`RewriteStats::limit_exceeded`], when `ctx.token`
-/// expires (polled before every substitution) or a tail passes
+/// The pass stops with [`Stop::Token`] when `ctx.token` expires (polled
+/// before every substitution), and with [`Stop::Terms`] when a tail passes
 /// `ctx.max_terms` (checked after every substitution).
 pub(crate) fn gb_rewrite(
     model: &mut AlgebraicModel,
     keep: &FastSet<Var>,
     vanishing: Option<&VanishingTracker>,
     ctx: &PhaseContext,
-) -> RewriteStats {
-    let start = Instant::now();
-    let mut stats = RewriteStats::default();
+) -> PhaseStats {
+    let mut stats = PhaseStats::default();
     // Scratch polynomial reused across all substitutions of the pass, so each
     // step reuses the previous term table instead of reallocating.
     let mut scratch = Polynomial::zero();
@@ -161,7 +112,7 @@ pub(crate) fn gb_rewrite(
         };
         loop {
             if ctx.token.expired() {
-                stats.limit_exceeded = true;
+                stats.stop = Some(Stop::Token);
                 break;
             }
             let vt = match smallest_tail_candidate(model, &tail, keep) {
@@ -178,18 +129,18 @@ pub(crate) fn gb_rewrite(
             }
             stats.peak_terms = stats.peak_terms.max(tail.num_terms());
             if tail.num_terms() > ctx.max_terms {
-                stats.limit_exceeded = true;
+                stats.stop = Some(Stop::Terms);
                 break;
             }
         }
         model.set_tail(v, tail);
-        if stats.limit_exceeded {
+        if stats.stop.is_some() {
             break;
         }
     }
     // UpdateModel: drop polynomials whose leading variable was substituted
     // away (not kept and not a primary output).
-    if !stats.limit_exceeded {
+    if stats.stop.is_none() {
         let order = model.polynomial_order();
         for v in order {
             if !keep.contains(&v) && !model.is_output(v) {
@@ -198,7 +149,6 @@ pub(crate) fn gb_rewrite(
             }
         }
     }
-    stats.elapsed = start.elapsed();
     stats
 }
 
@@ -322,26 +272,30 @@ impl RewriteVanishing {
 /// * With `vanishing`, a whole extracted term is skipped when its residual
 ///   monomial `m / v` vanishes on its own, and each product is judged before
 ///   it is built; a vanishing product is never inserted.
-/// * The token is polled every [`CANCEL_POLL_INTERVAL`] products, counted
+/// * `ctx.token` is polled every [`CANCEL_POLL_INTERVAL`] products, counted
 ///   across steps in `since_poll`; an expired token stops the step with
-///   [`ReductionOutcome::from_token`]'s outcome.
+///   [`Stop::Token`].
 /// * The step's term bound is the store size after extraction plus every
 ///   product emitted so far. It bounds the store's size at any point of the
-///   step, and the step stops with [`ReductionOutcome::LimitExceeded`],
-///   reporting the bound, as soon as it passes `max_terms`.
+///   step, and the step stops with [`Stop::Terms`] as soon as it passes
+///   `ctx.max_terms`, raising `stats.peak_terms` to the bound.
 ///
-/// Returns the number of products cancelled as vanishing, or the stop.
-#[allow(clippy::too_many_arguments)] // the step's data plus each caller's limits
+/// A completed step adds its cancelled products to
+/// `stats.cancelled_vanishing` and raises `stats.peak_terms` to the store
+/// size; a stopped step adds no cancellations. Each caller counts
+/// `stats.substitutions` itself.
+#[allow(clippy::too_many_arguments)] // the step's data, the run's context and the report
 pub(crate) fn substitute_step(
     store: &mut IndexedPolynomial,
     extracted: &[(Monomial, Int)],
     v: Var,
     tail: &Polynomial,
     mut vanishing: Option<&mut RewriteVanishing>,
-    max_terms: usize,
-    token: &DeadlineToken,
+    ctx: &PhaseContext,
     since_poll: &mut usize,
-) -> Result<u64, ReductionOutcome> {
+    stats: &mut PhaseStats,
+) -> Result<(), Stop> {
+    let max_terms = ctx.max_terms;
     let base = store.num_terms();
     let mut emitted = 0usize;
     let mut cancelled = 0u64;
@@ -357,8 +311,8 @@ pub(crate) fn substitute_step(
             *since_poll += 1;
             if *since_poll >= CANCEL_POLL_INTERVAL {
                 *since_poll = 0;
-                if let Some(stop) = ReductionOutcome::from_token(token) {
-                    return Err(stop);
+                if ctx.token.expired() {
+                    return Err(Stop::Token);
                 }
             }
             let pm = match vanishing.as_deref_mut() {
@@ -373,14 +327,15 @@ pub(crate) fn substitute_step(
             };
             emitted += 1;
             if base + emitted > max_terms {
-                return Err(ReductionOutcome::LimitExceeded {
-                    terms: base + emitted,
-                });
+                stats.peak_terms = stats.peak_terms.max(base + emitted);
+                return Err(Stop::Terms);
             }
             store.add_term(pm, tc * c);
         }
     }
-    Ok(cancelled)
+    stats.cancelled_vanishing += cancelled;
+    stats.peak_terms = stats.peak_terms.max(store.num_terms());
+    Ok(())
 }
 
 /// Gröbner basis rewriting on the incrementally indexed term store —
@@ -444,9 +399,8 @@ pub(crate) fn gb_rewrite_indexed(
     keep: &FastSet<Var>,
     mut vanishing: Option<RewriteVanishing>,
     ctx: &PhaseContext,
-) -> RewriteStats {
-    let start = Instant::now();
-    let mut stats = RewriteStats::default();
+) -> PhaseStats {
+    let mut stats = PhaseStats::default();
     let order = model.polynomial_order();
     // Suffix unions of the output-column masks over the pass order: column
     // `j` retires once the pass moves past the last polynomial whose
@@ -460,7 +414,7 @@ pub(crate) fn gb_rewrite_indexed(
     'pass: for (pos, &v) in order.iter().enumerate() {
         let retiring_cols = (suffix[pos] & !suffix[pos + 1]).count_ones() as usize;
         if ctx.token.expired() {
-            stats.limit_exceeded = true;
+            stats.stop = Some(Stop::Token);
             break 'pass;
         }
         let Some(tail) = model.tail(v) else { continue };
@@ -497,7 +451,7 @@ pub(crate) fn gb_rewrite_indexed(
         let mut swept = vanishing.is_none();
         loop {
             if ctx.token.expired() {
-                stats.limit_exceeded = true;
+                stats.stop = Some(Stop::Token);
                 break;
             }
             // The same candidate rule as `smallest_tail_candidate`: smallest
@@ -536,39 +490,31 @@ pub(crate) fn gb_rewrite_indexed(
                     stats.cancelled_vanishing += removed as u64;
                 }
             }
-            let step = substitute_step(
+            if let Err(stop) = substitute_step(
                 &mut store,
                 &extracted,
                 u,
                 replacement,
                 vanishing.as_mut(),
-                ctx.max_terms,
-                &ctx.token,
+                ctx,
                 &mut since_poll,
-            );
-            match step {
-                Ok(cancelled) => stats.cancelled_vanishing += cancelled,
-                Err(stop) => {
-                    if let ReductionOutcome::LimitExceeded { terms } = stop {
-                        stats.peak_terms = stats.peak_terms.max(terms);
-                    }
-                    stats.limit_exceeded = true;
-                    break;
-                }
+                &mut stats,
+            ) {
+                stats.stop = Some(stop);
+                break;
             }
-            stats.peak_terms = stats.peak_terms.max(store.num_terms());
         }
         stats.index_hits += store.index_hits();
         // Reassemble even a partially rewritten tail — the scan engine also
         // stores the tail it had when a limit fired.
         model.set_tail(v, store.into_polynomial());
-        if stats.limit_exceeded {
+        if stats.stop.is_some() {
             break 'pass;
         }
         stats.columns_retired += retiring_cols;
     }
     // UpdateModel, exactly as in the scan engine.
-    if !stats.limit_exceeded {
+    if stats.stop.is_none() {
         let order = model.polynomial_order();
         for v in order {
             if !keep.contains(&v) && !model.is_output(v) {
@@ -577,14 +523,14 @@ pub(crate) fn gb_rewrite_indexed(
             }
         }
     }
-    stats.elapsed = start.elapsed();
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduction::{GreedyReduction, ReductionStats};
+    use crate::budget::DeadlineToken;
+    use crate::reduction::GreedyReduction;
     use crate::spec::Spec;
     use crate::strategy::{
         FanoutRewrite, IndexedLogicReductionRewrite, LogicReductionRewrite, ReductionStrategy,
@@ -617,11 +563,11 @@ mod tests {
 
     /// The scan reduction without vanishing or modulus, under the default
     /// context.
-    fn reduce(model: &AlgebraicModel, spec: &Polynomial) -> (Polynomial, ReductionStats) {
-        let (r, outcome, stats) =
+    fn reduce(model: &AlgebraicModel, spec: &Polynomial) -> Polynomial {
+        let (r, stats) =
             GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default());
-        assert!(outcome.is_completed(), "{outcome:?}");
-        (r, stats)
+        assert_eq!(stats.stop, None);
+        r
     }
 
     fn adder_vars(nl: &Netlist, width: usize) -> (Vec<Var>, Vec<Var>, Vec<Var>) {
@@ -644,7 +590,7 @@ mod tests {
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
         let polys_before = model.num_polynomials();
         let stats = FanoutRewrite.rewrite(&mut model, &PhaseContext::default());
-        assert!(!stats.limit_exceeded);
+        assert_eq!(stats.stop, None);
         assert!(stats.removed_polynomials > 0);
         assert!(model.num_polynomials() < polys_before);
         // All tails now depend only on kept variables or primary inputs.
@@ -661,7 +607,7 @@ mod tests {
         }
         let (a, b, s) = adder_vars(&nl, 3);
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, _) = reduce(&model, &spec);
+        let r = reduce(&model, &spec);
         assert!(r.is_zero());
     }
 
@@ -672,14 +618,14 @@ mod tests {
         let nl = build_adder(8, AdderKind::KoggeStone, false);
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
         let stats = XorRewrite.rewrite(&mut model, &PhaseContext::default());
-        assert!(!stats.limit_exceeded);
+        assert_eq!(stats.stop, None);
         assert!(
             stats.cancelled_vanishing > 0,
             "a Kogge-Stone adder must produce vanishing monomials"
         );
         let (a, b, s) = adder_vars(&nl, 8);
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, _) = reduce(&model, &spec);
+        let r = reduce(&model, &spec);
         assert!(r.is_zero());
     }
 
@@ -711,7 +657,7 @@ mod tests {
         let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
         let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
         let stats = LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
-        assert!(!stats.limit_exceeded);
+        assert_eq!(stats.stop, None);
         let a: Vec<Var> = (0..4)
             .map(|i| Var(nl.find_net(&format!("a{i}")).unwrap().0))
             .collect();
@@ -720,7 +666,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = multiplier_spec(&a, &b, &s);
-        let (r, _) = reduce(&model, &spec);
+        let r = reduce(&model, &spec);
         let r = r.drop_multiples_of_pow2(8);
         assert!(r.is_zero(), "remainder: {}", model.render(&r));
     }
@@ -752,7 +698,7 @@ mod tests {
         for rewriter in rewriters() {
             let mut model = base.clone();
             let stats = rewriter.rewrite(&mut model, &ctx);
-            assert!(stats.limit_exceeded, "{}", rewriter.name());
+            assert_eq!(stats.stop, Some(Stop::Terms), "{}", rewriter.name());
         }
     }
 
@@ -768,8 +714,9 @@ mod tests {
             let mut model = base.clone();
             let stats = rewriter.rewrite(&mut model, &ctx);
             let name = rewriter.name();
-            assert!(
-                stats.limit_exceeded,
+            assert_eq!(
+                stats.stop,
+                Some(Stop::Token),
                 "{name}: cancelled pass must stop early"
             );
             assert_eq!(stats.substitutions, 0, "{name}");
@@ -800,7 +747,7 @@ mod tests {
         LogicReductionRewrite.rewrite(&mut oracle, &ctx);
         let mut indexed = base.clone();
         let stats = IndexedLogicReductionRewrite.rewrite(&mut indexed, &ctx);
-        assert!(!stats.limit_exceeded);
+        assert_eq!(stats.stop, None);
         assert!(stats.index_hits > 0);
         assert!(stats.columns_retired > 0);
         assert_eq!(oracle.polynomial_order(), indexed.polynomial_order());
@@ -835,7 +782,7 @@ mod tests {
             ..PhaseContext::default()
         };
         let c_stats = IndexedLogicReductionRewrite.rewrite(&mut closed, &closure_ctx);
-        assert!(!t_stats.limit_exceeded && !c_stats.limit_exceeded);
+        assert_eq!((t_stats.stop, c_stats.stop), (None, None));
         // Note: the cancellation *count* is not comparable across modes —
         // the closure kills residuals before their products ever form, so
         // fewer cancellation events can mean more cancellation.
@@ -861,7 +808,7 @@ mod tests {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = multiplier_spec(&a, &b, &s);
-        let (r, _) = reduce(&closed, &spec);
+        let r = reduce(&closed, &spec);
         assert!(
             r.drop_multiples_of_pow2(8).is_zero(),
             "closure-mode rewrite must preserve the verdict"
@@ -880,7 +827,11 @@ mod tests {
             ..PhaseContext::default()
         };
         let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
-        assert!(stats.limit_exceeded, "cancelled pass must stop early");
+        assert_eq!(
+            stats.stop,
+            Some(Stop::Token),
+            "cancelled pass must stop early"
+        );
         assert_eq!(stats.substitutions, 0);
     }
 
@@ -894,7 +845,7 @@ mod tests {
             ..PhaseContext::default()
         };
         let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
-        assert!(stats.limit_exceeded);
+        assert_eq!(stats.stop, Some(Stop::Terms));
     }
 
     /// The bound is checked per emitted product, so a limit-stopped pass
@@ -909,7 +860,7 @@ mod tests {
             ..PhaseContext::default()
         };
         let stats = IndexedLogicReductionRewrite.rewrite(&mut model, &ctx);
-        assert!(stats.limit_exceeded);
+        assert_eq!(stats.stop, Some(Stop::Terms));
         assert_eq!(stats.peak_terms, 201);
     }
 

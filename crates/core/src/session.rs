@@ -29,10 +29,9 @@ use gbmv_poly::Polynomial;
 use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::{find_assignment, ground_assignment, Counterexample};
 use crate::model::{AlgebraicModel, ExtractError};
-use crate::reduction::{ReductionOutcome, ReductionStats};
-use crate::rewrite::{spec_weights, RewriteStats};
+use crate::rewrite::spec_weights;
 use crate::spec::{Spec, SpecError};
-use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
+use crate::strategy::{Method, PhaseContext, PhaseStats, ReductionStrategy, RewriteStrategy, Stop};
 use crate::vanishing::VanishingRules;
 
 /// The phases of a verification run, as reported by [`Progress`] events and
@@ -145,9 +144,9 @@ impl Outcome {
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Rewriting statistics.
-    pub rewrite: RewriteStats,
+    pub rewrite: PhaseStats,
     /// Gröbner basis reduction statistics.
-    pub reduction: ReductionStats,
+    pub reduction: PhaseStats,
     /// `#P`: polynomials in the model after rewriting.
     pub model_polynomials: usize,
     /// `#M`: monomials in the model after rewriting.
@@ -244,15 +243,38 @@ impl From<SpecError> for SessionError {
 /// A boxed progress observer, as installed by [`Session::observer`].
 type ObserverBox = Box<dyn FnMut(&Progress)>;
 
+/// Runs one phase between its [`Progress::PhaseStarted`] and
+/// [`Progress::PhaseFinished`] events, returning its result and the time
+/// the finish event reports.
+fn timed<T>(
+    observer: &mut dyn FnMut(&Progress),
+    phase: Phase,
+    run: impl FnOnce() -> T,
+) -> (T, Duration) {
+    observer(&Progress::PhaseStarted { phase });
+    let start = Instant::now();
+    let result = run();
+    let elapsed = start.elapsed();
+    observer(&Progress::PhaseFinished { phase, elapsed });
+    (result, elapsed)
+}
+
 /// The shared verification pipeline: Step 2 (rewriting) on a clone of the
 /// model, Steps 3/4 (reduction and the zero test), then, with `cex_spec`,
 /// the counterexample search, which grounds a found assignment on the
 /// pristine `base` model and `cex_spec`. Used by [`Session::run`] and the
 /// [`crate::Portfolio`] entries.
 ///
-/// This is the one place where a reduction stop becomes an [`Outcome`]: a
-/// term-limit stop is a resource limit, and a token stop is `Cancelled` or a
-/// resource limit depending on whether the token was cancelled.
+/// This is the one clock of a phase: it sets each phase's
+/// [`PhaseStats::elapsed`] to the time it reports in
+/// [`Progress::PhaseFinished`]. It is also the one place where a phase's
+/// [`Stop`] becomes an [`Outcome`], the same for both phases:
+///
+/// * [`Stop::Terms`] is `ResourceLimit { phase }`, even when the token was
+///   cancelled in the meantime: a race loser must not mask a blow-up as a
+///   cancellation;
+/// * [`Stop::Token`] is [`Outcome::Cancelled`] after an explicit cancel and
+///   `ResourceLimit { phase }` after a passed deadline, as the token tells.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by Session and Portfolio
 pub(crate) fn run_pipeline(
     strategy_name: String,
@@ -275,126 +297,67 @@ pub(crate) fn run_pipeline(
         spec_weights: modulus_bits.map(|k| spec_weights(base, spec_poly, k)),
         ..ctx.clone()
     };
-
-    observer(&Progress::PhaseStarted {
-        phase: Phase::Rewrite,
-    });
-    // The pipeline measures phase times itself so observer events stay
-    // trustworthy even for custom strategies that leave the stats' elapsed
-    // fields at zero.
-    let phase_start = Instant::now();
-    stats.rewrite = rewrite.rewrite(&mut model, ctx);
-    let rewrite_elapsed = phase_start.elapsed();
-    if stats.rewrite.elapsed.is_zero() {
-        stats.rewrite.elapsed = rewrite_elapsed;
-    }
-    observer(&Progress::PhaseFinished {
-        phase: Phase::Rewrite,
-        elapsed: rewrite_elapsed,
-    });
-    if stats.rewrite.index_hits > 0 {
-        observer(&Progress::RewriteIndexStats {
-            peak_terms: stats.rewrite.peak_terms,
-            index_hits: stats.rewrite.index_hits,
-            columns_retired: stats.rewrite.columns_retired,
-        });
-    }
-    stats.model_polynomials = model.num_polynomials();
-    stats.model_monomials = model.num_monomials();
-    stats.max_polynomial_terms = model.max_polynomial_terms();
-    stats.max_monomial_vars = model.max_monomial_vars();
-    if stats.rewrite.limit_exceeded {
-        stats.total_time = start.elapsed();
-        let outcome = if ctx.token.is_cancelled() {
-            Outcome::Cancelled
-        } else {
-            Outcome::ResourceLimit {
-                phase: Phase::Rewrite,
-            }
-        };
-        return Report {
-            strategy: strategy_name,
-            outcome,
-            stats,
-        };
-    }
-
-    observer(&Progress::PhaseStarted {
-        phase: Phase::Reduce,
-    });
-    let phase_start = Instant::now();
-    let (remainder, reduction_outcome, reduction_stats) = reduction.reduce(&model, spec_poly, ctx);
-    let reduce_elapsed = phase_start.elapsed();
-    stats.reduction = reduction_stats;
-    if stats.reduction.elapsed.is_zero() {
-        stats.reduction.elapsed = reduce_elapsed;
-    }
-    observer(&Progress::PhaseFinished {
-        phase: Phase::Reduce,
-        elapsed: reduce_elapsed,
-    });
-    match reduction_outcome {
-        ReductionOutcome::Completed => {}
-        // A term-limit stop is a genuine divergence even when the shared
-        // token was cancelled in the meantime (race losers must not mask a
-        // blow-up as a cancellation).
-        ReductionOutcome::LimitExceeded { .. } => {
-            stats.total_time = start.elapsed();
-            return Report {
-                strategy: strategy_name,
-                outcome: Outcome::ResourceLimit {
-                    phase: Phase::Reduce,
-                },
-                stats,
-            };
-        }
-        // Token stops are disambiguated by the token itself: an explicit
-        // cancel is `Cancelled`, a deadline expiry is a resource limit —
-        // whichever of the two a strategy reported.
-        ReductionOutcome::Cancelled | ReductionOutcome::TimedOut => {
-            stats.total_time = start.elapsed();
-            let outcome = if ctx.token.is_cancelled() {
-                Outcome::Cancelled
-            } else {
-                Outcome::ResourceLimit {
-                    phase: Phase::Reduce,
-                }
-            };
-            return Report {
-                strategy: strategy_name,
-                outcome,
-                stats,
-            };
-        }
-    }
-
-    // Canonicalize the remainder modulo 2^k (not just drop zero terms): the
-    // fully reduced remainder is the unique multilinear normal form of the
-    // spec over the primary inputs, but engines that drop 2^k-multiples
-    // differently (the scan engine keeps exact coefficients, the indexed one
-    // stores canonical residues) can end with coefficients differing by
-    // multiples of 2^k. Reducing every coefficient into [0, 2^k) makes the
-    // reported remainder — and therefore the counterexample search —
-    // bit-identical across reduction strategies.
-    let remainder = match modulus_bits {
-        Some(k) => remainder.mod_coeffs_pow2(k),
-        None => remainder,
+    let stopped = |stop: Stop, phase: Phase| match stop {
+        Stop::Token if ctx.token.is_cancelled() => Outcome::Cancelled,
+        Stop::Terms | Stop::Token => Outcome::ResourceLimit { phase },
     };
-    let outcome = if remainder.is_zero() {
-        Outcome::Verified
-    } else {
+
+    let outcome = 'run: {
+        let (rewrite_stats, elapsed) = timed(observer, Phase::Rewrite, || {
+            rewrite.rewrite(&mut model, ctx)
+        });
+        stats.rewrite = PhaseStats {
+            elapsed,
+            ..rewrite_stats
+        };
+        if stats.rewrite.index_hits > 0 {
+            observer(&Progress::RewriteIndexStats {
+                peak_terms: stats.rewrite.peak_terms,
+                index_hits: stats.rewrite.index_hits,
+                columns_retired: stats.rewrite.columns_retired,
+            });
+        }
+        stats.model_polynomials = model.num_polynomials();
+        stats.model_monomials = model.num_monomials();
+        stats.max_polynomial_terms = model.max_polynomial_terms();
+        stats.max_monomial_vars = model.max_monomial_vars();
+        if let Some(stop) = stats.rewrite.stop {
+            break 'run stopped(stop, Phase::Rewrite);
+        }
+
+        let ((remainder, reduction_stats), elapsed) = timed(observer, Phase::Reduce, || {
+            reduction.reduce(&model, spec_poly, ctx)
+        });
+        stats.reduction = PhaseStats {
+            elapsed,
+            ..reduction_stats
+        };
+        if let Some(stop) = stats.reduction.stop {
+            break 'run stopped(stop, Phase::Reduce);
+        }
+
+        // Canonicalize the remainder modulo 2^k (not just drop zero terms):
+        // the fully reduced remainder is the unique multilinear normal form
+        // of the spec over the primary inputs, but engines that drop
+        // 2^k-multiples differently (the scan engine keeps exact
+        // coefficients, the indexed one stores canonical residues) can end
+        // with coefficients differing by multiples of 2^k. Reducing every
+        // coefficient into [0, 2^k) makes the reported remainder — and
+        // therefore the counterexample search — bit-identical across
+        // reduction strategies.
+        let remainder = match modulus_bits {
+            Some(k) => remainder.mod_coeffs_pow2(k),
+            None => remainder,
+        };
+        if remainder.is_zero() {
+            break 'run Outcome::Verified;
+        }
         let counterexample = cex_spec.and_then(|spec| {
-            observer(&Progress::PhaseStarted {
-                phase: Phase::Counterexample,
-            });
-            let search_start = Instant::now();
-            let found = find_assignment(base, &remainder, modulus_bits)
-                .map(|values| ground_assignment(base, spec, &values));
-            observer(&Progress::PhaseFinished {
-                phase: Phase::Counterexample,
-                elapsed: search_start.elapsed(),
-            });
-            found
+            timed(observer, Phase::Counterexample, || {
+                find_assignment(base, &remainder, modulus_bits)
+                    .map(|values| ground_assignment(base, spec, &values))
+            })
+            .0
         });
         Outcome::Mismatch {
             remainder_terms: remainder.num_terms(),
@@ -583,6 +546,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::NoRewrite;
     use gbmv_genmul::{build_adder, AdderKind, MultiplierSpec};
     use gbmv_netlist::fault::distinguishable_mutant;
     use rand::rngs::StdRng;
@@ -814,6 +778,94 @@ mod tests {
         assert_eq!(report.outcome, Outcome::Cancelled);
     }
 
+    /// A strategy for either phase that sets its token's state, then
+    /// reports `stop`.
+    struct StopProbe {
+        stop: Stop,
+        cancel: bool,
+    }
+
+    impl StopProbe {
+        fn report(&self, ctx: &PhaseContext) -> PhaseStats {
+            if self.cancel {
+                ctx.token.cancel();
+            }
+            PhaseStats {
+                stop: Some(self.stop),
+                ..PhaseStats::default()
+            }
+        }
+    }
+
+    impl RewriteStrategy for StopProbe {
+        fn name(&self) -> &str {
+            "stop-probe"
+        }
+
+        fn rewrite(&self, _model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
+            self.report(ctx)
+        }
+    }
+
+    impl ReductionStrategy for StopProbe {
+        fn name(&self) -> &str {
+            "stop-probe"
+        }
+
+        fn reduce(
+            &self,
+            _model: &AlgebraicModel,
+            spec: &Polynomial,
+            ctx: &PhaseContext,
+        ) -> (Polynomial, PhaseStats) {
+            (spec.clone(), self.report(ctx))
+        }
+    }
+
+    /// One table of how a phase's stop becomes an outcome, the same in
+    /// Step 2 and Step 3: a term stop is a resource limit of its phase
+    /// whatever the token says, and a token stop is `Cancelled` after a
+    /// cancel and a resource limit after the deadline. (A token stop under
+    /// a live token, which no provided engine reports, is left out.)
+    #[test]
+    fn a_stop_maps_to_one_outcome_in_either_phase() {
+        #[derive(Debug, Clone, Copy)]
+        enum Token {
+            Live,
+            Cancelled,
+            PastDeadline,
+        }
+        for phase in [Phase::Rewrite, Phase::Reduce] {
+            let limit = Outcome::ResourceLimit { phase };
+            for (stop, token, want) in [
+                (Stop::Terms, Token::Live, &limit),
+                (Stop::Terms, Token::Cancelled, &limit),
+                (Stop::Terms, Token::PastDeadline, &limit),
+                (Stop::Token, Token::Cancelled, &Outcome::Cancelled),
+                (Stop::Token, Token::PastDeadline, &limit),
+            ] {
+                let probe = StopProbe {
+                    stop,
+                    cancel: matches!(token, Token::Cancelled),
+                };
+                let deadline = match token {
+                    Token::PastDeadline => Duration::ZERO,
+                    Token::Live | Token::Cancelled => Duration::from_secs(600),
+                };
+                let session =
+                    session("SP-AR-RC", 2).budget(Budget::default().with_deadline(deadline));
+                let mut session = match phase {
+                    Phase::Rewrite => session.rewrite_strategy(probe),
+                    _ => session
+                        .rewrite_strategy(NoRewrite)
+                        .reduction_strategy(probe),
+                };
+                let report = session.run().unwrap();
+                assert_eq!(&report.outcome, want, "{phase} {stop:?} {token:?}");
+            }
+        }
+    }
+
     #[test]
     fn signed_spec_rejects_unsigned_multiplier() {
         let report = session("SP-AR-RC", 2)
@@ -863,9 +915,9 @@ mod tests {
             "probe"
         }
 
-        fn rewrite(&self, _model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+        fn rewrite(&self, _model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
             self.0.lock().unwrap().push(ctx.spec_weights.clone());
-            RewriteStats::default()
+            PhaseStats::default()
         }
     }
 

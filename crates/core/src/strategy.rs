@@ -13,14 +13,17 @@
 //! Each provided strategy is the only entry to its engine, and
 //! [`PhaseContext`] is the only configuration an engine reads: the session
 //! pipeline passes one to every phase, and a direct call of a strategy
-//! builds one by hand.
+//! builds one by hand. Both phases report a [`PhaseStats`], whose
+//! [`PhaseStats::stop`] says whether and why the phase ended early.
+
+use std::time::Duration;
 
 use gbmv_poly::Polynomial;
 
 use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
-use crate::reduction::{GreedyReduction, ReductionOutcome, ReductionStats};
-use crate::rewrite::{gb_rewrite, gb_rewrite_indexed, RewriteStats, RewriteVanishing};
+use crate::reduction::GreedyReduction;
+use crate::rewrite::{gb_rewrite, gb_rewrite_indexed, RewriteVanishing};
 use crate::vanishing::{VanishingRules, VanishingTracker};
 
 /// Everything a phase strategy reads about the run it executes in, and the
@@ -39,7 +42,7 @@ use crate::vanishing::{VanishingRules, VanishingTracker};
 /// let netlist = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
 /// let mut model = AlgebraicModel::from_netlist(&netlist)?;
 /// let stats = LogicReductionRewrite.rewrite(&mut model, &PhaseContext::default());
-/// assert!(!stats.limit_exceeded);
+/// assert_eq!(stats.stop, None);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -86,36 +89,102 @@ impl Default for PhaseContext {
     }
 }
 
+/// Why a phase stopped before it finished: the resource it ran out of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// A tail or the remainder passed [`PhaseContext::max_terms`].
+    Terms,
+    /// [`PhaseContext::token`] expired. The token itself tells an explicit
+    /// cancel from a passed deadline.
+    Token,
+}
+
+/// The report of one phase, Step 2 or Step 3/4: its counters and whether
+/// it stopped early.
+///
+/// An engine fills in its counters and [`Self::stop`]. The session pipeline
+/// behind [`crate::Session::run`] and [`crate::Portfolio`] sets
+/// [`Self::elapsed`] and maps the stop to the run's [`crate::Outcome`]. A
+/// field that does not apply to a phase or an engine stays zero.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseStats {
+    /// Number of variable substitutions performed.
+    pub substitutions: usize,
+    /// Number of monomials the vanishing rules removed in this phase (its
+    /// share of `#CVM`).
+    pub cancelled_vanishing: u64,
+    /// Peak number of terms of any tail (Step 2) or of the intermediate
+    /// remainder (Step 3). An indexed phase that stops at the term limit
+    /// reports its step bound, `max_terms + 1`.
+    pub peak_terms: usize,
+    /// Number of terms the indexed engines retrieved through the inverted
+    /// var→term index (one per extracted term; zero for the scan engines).
+    pub index_hits: u64,
+    /// Number of output columns an indexed phase completed. Step 2 counts
+    /// column `j` once the pass moves past the last model polynomial whose
+    /// backward cone reaches output `j`, summed over its passes; Step 3
+    /// counts a column once no live term mentions a tracked variable
+    /// reaching it. Zero for the scan engines.
+    pub columns_retired: usize,
+    /// Number of polynomials Step 2 removed from the model (`UpdateModel`).
+    pub removed_polynomials: usize,
+    /// Number of terms of the final remainder of Step 3, before the modulo
+    /// reduction of the zero test.
+    pub final_terms: usize,
+    /// Wall-clock time of the phase, measured by the session pipeline
+    /// (zero after a direct strategy call).
+    pub elapsed: Duration,
+    /// `None` when the phase finished; otherwise the resource that stopped
+    /// it. A Step 2 that stopped leaves the model partially rewritten (still
+    /// sound); a Step 3 that stopped leaves the remainder unfinished.
+    pub stop: Option<Stop>,
+}
+
+impl PhaseStats {
+    /// Adds the statistics of a later rewrite pass to this one.
+    pub(crate) fn merge(&mut self, other: &PhaseStats) {
+        self.substitutions += other.substitutions;
+        self.cancelled_vanishing += other.cancelled_vanishing;
+        self.peak_terms = self.peak_terms.max(other.peak_terms);
+        self.index_hits += other.index_hits;
+        self.columns_retired += other.columns_retired;
+        self.removed_polynomials += other.removed_polynomials;
+        self.stop = self.stop.or(other.stop);
+    }
+}
+
 /// A Step-2 strategy: rewrites the model in place before the reduction.
 ///
-/// Implementations must poll `ctx.token` in long-running loops and set
-/// [`RewriteStats::limit_exceeded`] when they stop early.
+/// Implementations must poll `ctx.token` in long-running loops and report
+/// an early stop in [`PhaseStats::stop`].
 pub trait RewriteStrategy: Send + Sync {
     /// Short display name (used in reports and bench records).
     fn name(&self) -> &str;
 
     /// Rewrites the model in place, returning the pass statistics.
-    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats;
+    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats;
 }
 
 /// A Step-3/4 strategy: reduces the specification polynomial against the
 /// (rewritten) model and returns the remainder.
 ///
-/// Implementations must poll `ctx.token` in their inner loops.
+/// Implementations must poll `ctx.token` in their inner loops and report an
+/// early stop in [`PhaseStats::stop`].
 pub trait ReductionStrategy: Send + Sync {
     /// Short display name (used in reports and bench records).
     fn name(&self) -> &str;
 
-    /// Reduces `spec` against `model`, returning the remainder, why the
-    /// reduction ended, and its statistics. [`PhaseContext::modulus_bits`]
-    /// is the modulus of the zero test (for intermediate coefficient
+    /// Reduces `spec` against `model`, returning the remainder and the
+    /// phase statistics; the remainder is final only when
+    /// [`PhaseStats::stop`] is `None`. [`PhaseContext::modulus_bits`] is
+    /// the modulus of the zero test (for intermediate coefficient
     /// dropping).
     fn reduce(
         &self,
         model: &AlgebraicModel,
         spec: &Polynomial,
         ctx: &PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats);
+    ) -> (Polynomial, PhaseStats);
 }
 
 /// No rewriting at all (the plain MT baseline).
@@ -127,8 +196,8 @@ impl RewriteStrategy for NoRewrite {
         "none"
     }
 
-    fn rewrite(&self, _model: &mut AlgebraicModel, _ctx: &PhaseContext) -> RewriteStats {
-        RewriteStats::default()
+    fn rewrite(&self, _model: &mut AlgebraicModel, _ctx: &PhaseContext) -> PhaseStats {
+        PhaseStats::default()
     }
 }
 
@@ -143,7 +212,7 @@ impl RewriteStrategy for FanoutRewrite {
         "fanout"
     }
 
-    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
         let keep = model.fanout_keep_set();
         gb_rewrite(model, &keep, None, ctx)
     }
@@ -163,7 +232,7 @@ impl RewriteStrategy for XorRewrite {
         "xor"
     }
 
-    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
         let keep = model.xor_keep_set();
         let tracker = (ctx.rules != VanishingRules::Off).then(|| VanishingTracker::new(model));
         gb_rewrite(model, &keep, tracker.as_ref(), ctx)
@@ -183,9 +252,9 @@ impl RewriteStrategy for LogicReductionRewrite {
         "logic-reduction"
     }
 
-    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
         let mut stats = XorRewrite.rewrite(model, ctx);
-        if !stats.limit_exceeded {
+        if stats.stop.is_none() {
             let keep = model.common_keep_set();
             stats.merge(&gb_rewrite(model, &keep, None, ctx));
         }
@@ -222,11 +291,11 @@ impl RewriteStrategy for IndexedLogicReductionRewrite {
         "logic-reduction-indexed"
     }
 
-    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
+    fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
         let keep = model.xor_keep_set();
         let vanishing = RewriteVanishing::new(model, ctx.rules);
         let mut stats = gb_rewrite_indexed(model, &keep, vanishing, ctx);
-        if !stats.limit_exceeded {
+        if stats.stop.is_none() {
             let keep = model.common_keep_set();
             stats.merge(&gb_rewrite_indexed(model, &keep, None, ctx));
         }

@@ -113,11 +113,6 @@ impl IndexedPolynomial {
         ix
     }
 
-    /// The modulus (in bits) coefficients are canonicalized to, if any.
-    pub fn modulus_bits(&self) -> Option<u32> {
-        self.modulus_bits
-    }
-
     /// Number of present terms (live + retired accumulator).
     pub fn num_terms(&self) -> usize {
         self.live_terms() + self.inert.len()

@@ -5,8 +5,8 @@
 //! Run with `cargo run --release --example paper_walkthrough`.
 
 use gbmv::core::{
-    AlgebraicModel, FanoutRewrite, GreedyReduction, PhaseContext, ReductionOutcome, ReductionStats,
-    ReductionStrategy, RewriteStrategy, XorRewrite,
+    AlgebraicModel, FanoutRewrite, GreedyReduction, PhaseContext, PhaseStats, ReductionStrategy,
+    RewriteStrategy, XorRewrite,
 };
 use gbmv::genmul::{build_adder, AdderKind};
 use gbmv::netlist::Netlist;
@@ -21,10 +21,7 @@ fn main() {
 
 /// Algorithm 1 on its own: the scan reduction, without vanishing or
 /// modulus, called directly with a default context.
-fn reduce(
-    model: &AlgebraicModel,
-    spec: &Polynomial,
-) -> (Polynomial, ReductionOutcome, ReductionStats) {
+fn reduce(model: &AlgebraicModel, spec: &Polynomial) -> (Polynomial, PhaseStats) {
     GreedyReduction { vanishing: false }.reduce(model, spec, &PhaseContext::default())
 }
 
@@ -55,10 +52,10 @@ fn example1_full_adder() {
     }
     let spec = full_adder_spec(Var(a.0), Var(b.0), Var(cin.0), Var(s.0), Var(c.0));
     println!("specification: {}", model.render(&spec));
-    let (r, outcome, stats) = reduce(&model, &spec);
+    let (r, stats) = reduce(&model, &spec);
     println!(
-        "reduction: {:?} after {} substitutions, remainder = {}",
-        outcome,
+        "reduction: stop {:?} after {} substitutions, remainder = {}",
+        stats.stop,
         stats.substitutions,
         model.render(&r)
     );
@@ -96,10 +93,10 @@ fn example2_ripple_carry_fanout_rewriting() {
         .collect();
     let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
     let spec = adder_spec(&a, &b, &s, None);
-    let (r, outcome, rstats) = reduce(&model, &spec);
+    let (r, rstats) = reduce(&model, &spec);
     println!(
-        "reduction: {:?}, peak intermediate terms = {}, remainder = {}",
-        outcome,
+        "reduction: stop {:?}, peak intermediate terms = {}, remainder = {}",
+        rstats.stop,
         rstats.peak_terms,
         model.render(&r)
     );
@@ -124,12 +121,12 @@ fn example3_parallel_prefix_vanishing_monomials() {
             .collect();
         let s: Vec<Var> = nl.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let spec = adder_spec(&a, &b, &s, None);
-        let (r, outcome, rstats) = reduce(&model, &spec);
+        let (r, rstats) = reduce(&model, &spec);
         println!(
-            "  width {width:>2}: cancelled vanishing monomials = {:>5}, peak terms = {:>6}, {:?}, remainder zero = {}",
+            "  width {width:>2}: cancelled vanishing monomials = {:>5}, peak terms = {:>6}, stop {:?}, remainder zero = {}",
             stats.cancelled_vanishing,
             rstats.peak_terms,
-            outcome,
+            rstats.stop,
             r.is_zero()
         );
         assert!(r.is_zero());

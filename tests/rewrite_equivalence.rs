@@ -40,7 +40,7 @@ use common::{all_architectures, fault_injected_mutants, PAPER_ARCHITECTURES};
 use gbmv::core::rewrite::spec_weights;
 use gbmv::core::{
     AlgebraicModel, IndexedLogicReductionRewrite, LogicReductionRewrite, Phase, PhaseContext,
-    Progress, RewriteStrategy, VanishingRules,
+    Progress, RewriteStrategy, Stop, VanishingRules,
 };
 use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::Netlist;
@@ -85,8 +85,9 @@ fn assert_rewrite_equivalent(netlist: &Netlist, width: usize) {
     let i_stats = IndexedLogicReductionRewrite.rewrite(&mut indexed, &uniform);
     let mut weighted = base.clone();
     let w_stats = IndexedLogicReductionRewrite.rewrite(&mut weighted, &spec_weighted);
-    assert!(
-        !o_stats.limit_exceeded && !i_stats.limit_exceeded && !w_stats.limit_exceeded,
+    assert_eq!(
+        (o_stats.stop, i_stats.stop, w_stats.stop),
+        (None, None, None),
         "{} width {width}: all three rewrites must complete",
         netlist.name()
     );
@@ -193,7 +194,7 @@ fn assert_cancel_at_rewrite_start(arch: &str) {
         Outcome::Cancelled,
         "{arch}: a token cancel during rewriting must surface as Cancelled"
     );
-    assert!(report.stats.rewrite.limit_exceeded);
+    assert_eq!(report.stats.rewrite.stop, Some(Stop::Token));
     assert_eq!(
         report.stats.rewrite.substitutions, 0,
         "{arch}: the engine polls the token before the first substitution"

@@ -2,7 +2,7 @@
 //! plugged in from outside `gbmv_core`, portfolio parity with the
 //! pre-redesign entry points, and fallible extraction.
 
-use gbmv::core::{PhaseContext, ReductionOutcome, ReductionStats, ReductionStrategy, SessionError};
+use gbmv::core::{PhaseContext, PhaseStats, ReductionStrategy, SessionError, Stop};
 use gbmv::genmul::MultiplierSpec;
 use gbmv::netlist::{GateKind, Netlist};
 use gbmv::poly::Polynomial;
@@ -24,14 +24,15 @@ impl ReductionStrategy for TopoReduction {
         model: &gbmv::core::AlgebraicModel,
         spec: &Polynomial,
         ctx: &PhaseContext,
-    ) -> (Polynomial, ReductionOutcome, ReductionStats) {
-        let mut stats = ReductionStats::default();
+    ) -> (Polynomial, PhaseStats) {
+        let mut stats = PhaseStats::default();
         let mut r = spec.clone();
         let mut scratch = Polynomial::zero();
         stats.peak_terms = r.num_terms();
         for v in model.substitution_order() {
             if ctx.token.expired() {
-                return (r, ReductionOutcome::Cancelled, stats);
+                stats.stop = Some(Stop::Token);
+                return (r, stats);
             }
             if !r.contains_var(v) {
                 continue;
@@ -48,12 +49,12 @@ impl ReductionStrategy for TopoReduction {
             }
             stats.peak_terms = stats.peak_terms.max(r.num_terms());
             if r.num_terms() > ctx.max_terms {
-                let terms = r.num_terms();
-                return (r, ReductionOutcome::LimitExceeded { terms }, stats);
+                stats.stop = Some(Stop::Terms);
+                return (r, stats);
             }
         }
         stats.final_terms = r.num_terms();
-        (r, ReductionOutcome::Completed, stats)
+        (r, stats)
     }
 }
 
