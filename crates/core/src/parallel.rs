@@ -7,7 +7,10 @@
 //!
 //! * The working remainder lives in an [`IndexedPolynomial`]: an inverted
 //!   var→term-handle index makes each substitution step touch only the terms
-//!   that actually mention the substituted variable.
+//!   that actually mention the substituted variable. Each variable's drain
+//!   rank is its logic level plus one, and the candidate rule always picks
+//!   from the highest level present, so a term is indexed only under its
+//!   highest-level variables.
 //! * Coefficients are kept canonical `mod 2^k`, so modular cancellation
 //!   happens at insert instead of in a post-step sweep.
 //! * Terms whose support is fully substituted retire into an input-only
@@ -22,8 +25,9 @@
 //!   XOR-chain/majority contradictions; in `XorAnd` mode the
 //!   [`crate::VanishingTracker`] of the scan engines; in `Off` mode none.
 //! * The term budget holds inside a step: a step stops as soon as the store
-//!   size after its extraction plus the products it has emitted passes
-//!   [`PhaseContext::max_terms`], so the store never outgrows the budget.
+//!   size less the terms it has still to drain, plus the products it has
+//!   emitted, passes [`PhaseContext::max_terms`]. A stopped reduction
+//!   returns no remainder, since it would not be final.
 //!
 //! Each step runs on the calling thread, through the product loop it shares
 //! with the Step-2 rewriter of [`crate::IndexedLogicReductionRewrite`].
@@ -67,13 +71,20 @@ impl ReductionStrategy for ParallelReduction {
             stats.cancelled_vanishing += initial.retain_terms(|m| !van.sweep_vanishes(m)) as u64;
         }
 
-        // The substitutable variables: everything with a model tail. Inputs
-        // and tail-less variables are never substituted, so terms made only
-        // of those retire out of the indexed hot path.
-        let tracked: Vec<bool> = (0..model.var_count())
+        // The substitutable variables: everything with a model tail, ranked
+        // by logic level plus one. The candidate rule below always drains a
+        // variable of the highest level present, which is the store's drain
+        // contract. Inputs and tail-less variables are never substituted
+        // (rank 0), so terms made only of those retire out of the indexed
+        // hot path.
+        let ranks: Vec<u32> = (0..model.var_count())
             .map(|i| {
                 let v = Var(i as u32);
-                !model.is_input(v) && model.tail(v).is_some()
+                if !model.is_input(v) && model.tail(v).is_some() {
+                    model.level(v) as u32 + 1
+                } else {
+                    0
+                }
             })
             .collect();
 
@@ -81,7 +92,7 @@ impl ReductionStrategy for ParallelReduction {
         // `mod 2^k` (multiples of `2^k` cancel at insert — the incremental
         // form of the old post-step drop sweep), occurrence counts and the
         // inverted index are maintained from here on by the store itself.
-        let mut r = IndexedPolynomial::from_polynomial(&initial, tracked, ctx.modulus_bits);
+        let mut r = IndexedPolynomial::from_polynomial(&initial, ranks, ctx.modulus_bits);
         drop(initial);
         stats.peak_terms = r.num_terms();
 
@@ -152,10 +163,8 @@ impl ReductionStrategy for ParallelReduction {
             // In-place substitution through the inverted index: only the
             // terms actually containing `v` are touched.
             let tail = model.tail(v).expect("candidate has a tail");
-            let extracted = r.extract_terms_containing(v);
             if let Err(stop) = substitute_step(
                 &mut r,
-                &extracted,
                 v,
                 tail,
                 vanishing.as_mut(),
@@ -172,7 +181,13 @@ impl ReductionStrategy for ParallelReduction {
         };
         stats.index_hits = r.index_hits();
         stats.final_terms = r.num_terms();
-        (r.into_polynomial(), stats)
+        // A stopped remainder is not final (see `ReductionStrategy::reduce`),
+        // so none is built: that would re-hash the whole store.
+        let remainder = match stats.stop {
+            Some(_) => Polynomial::zero(),
+            None => r.into_polynomial(),
+        };
+        (remainder, stats)
     }
 }
 
@@ -214,7 +229,7 @@ mod tests {
             "the indexed engine must reproduce the greedy remainder"
         );
         assert!(stats.substitutions > 0);
-        assert!(stats.index_hits > 0, "indexed extraction must be exercised");
+        assert!(stats.index_hits > 0, "indexed drains must be exercised");
     }
 
     #[test]
@@ -247,6 +262,25 @@ mod tests {
         assert!(stats.peak_terms > 50);
     }
 
+    /// A stopped reduction returns no remainder: it would not be final, and
+    /// building it would re-hash the whole store.
+    #[test]
+    fn term_stopped_reduction_returns_no_remainder() {
+        let (model, spec, modulus) = model_and_spec("SP-WT-KS", 6);
+        let ctx = PhaseContext {
+            max_terms: 50,
+            ..context(modulus)
+        };
+        let (r, stats) = ParallelReduction.reduce(&model, &spec, &ctx);
+        assert_eq!(stats.stop, Some(Stop::Terms));
+        assert!(stats.final_terms > 0);
+        assert!(
+            r.is_zero(),
+            "a stopped reduction returned {} terms",
+            r.num_terms()
+        );
+    }
+
     #[test]
     fn cancelled_token_stops_the_engine() {
         let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
@@ -276,9 +310,9 @@ mod tests {
         assert_eq!(r, greedy);
     }
 
-    /// The terms of one substitution step of 256 x 128 = 32 K products (the
-    /// extracted terms, all containing `v`, and the tail of `v`), over 17
-    /// variables, with distinct product monomials.
+    /// The terms of one substitution step of about 256 x 128 = 32 K products
+    /// (the terms to drain, all containing `v`, and the tail of `v`), over
+    /// 17 variables, with distinct product monomials.
     fn large_step() -> (Vec<(Monomial, Int)>, Polynomial, Var) {
         let v = Var(0);
         let subset = |bits: usize, base: u32| {
@@ -288,26 +322,29 @@ mod tests {
                     .map(|b| Var(base + b)),
             )
         };
-        let extracted = (0..256)
+        let terms = (0..256)
             .map(|i| (subset(i, 1).mul(&Monomial::var(v)), Int::from(i as i64 + 1)))
             .collect();
         let tail =
             Polynomial::from_terms((0..128).map(|i| (subset(i, 9), Int::from(3 - i as i64))));
-        (extracted, tail, v)
+        (terms, tail, v)
     }
 
-    /// Runs [`large_step`] through the shared product loop into an empty
-    /// store kept mod `2^8`, under `max_terms`. Returns the resulting term
-    /// table, the step's result and its report.
+    /// Runs [`large_step`] through the shared product loop on a store kept
+    /// mod `2^8` that holds its terms to drain, under `max_terms`. Returns
+    /// the resulting term table, the step's result and its report.
     fn run_large_step(max_terms: usize) -> (Polynomial, Result<(), Stop>, PhaseStats) {
-        let (extracted, tail, v) = large_step();
-        let mut r = IndexedPolynomial::new(vec![false; 17], Some(8));
+        let (terms, tail, v) = large_step();
+        let mut ranks = vec![0; 17];
+        ranks[v.index()] = 1;
+        let mut r =
+            IndexedPolynomial::from_polynomial(&Polynomial::from_terms(terms), ranks, Some(8));
         let ctx = PhaseContext {
             max_terms,
             ..PhaseContext::default()
         };
         let mut stats = PhaseStats::default();
-        let result = substitute_step(&mut r, &extracted, v, &tail, None, &ctx, &mut 0, &mut stats);
+        let result = substitute_step(&mut r, v, &tail, None, &ctx, &mut 0, &mut stats);
         (r.into_polynomial(), result, stats)
     }
 
@@ -319,8 +356,8 @@ mod tests {
         assert_eq!(result, Ok(()));
         assert_eq!(stats.cancelled_vanishing, 0);
         assert!(table.num_terms() > 0);
-        let (extracted, tail, v) = large_step();
-        let want = Polynomial::from_terms(extracted)
+        let (terms, tail, v) = large_step();
+        let want = Polynomial::from_terms(terms)
             .substitute(v, &tail)
             .mod_coeffs_pow2(8);
         assert_eq!(table, want);

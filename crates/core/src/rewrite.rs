@@ -28,7 +28,7 @@
 //! [`crate::PhaseContext`] alone, and report a [`crate::PhaseStats`]. This
 //! module also holds the spec weights of a run ([`spec_weights`]).
 
-use gbmv_poly::{FastSet, IndexedPolynomial, Int, Monomial, Polynomial, Var};
+use gbmv_poly::{FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
 
 use crate::model::{AlgebraicModel, GateFunction};
 use crate::strategy::{PhaseContext, PhaseStats, Stop};
@@ -229,7 +229,7 @@ impl RewriteVanishing {
         }
     }
 
-    /// Installs the residual monomial of an extracted term for the product
+    /// Installs the residual monomial of a drained term for the product
     /// judgements that follow; `true` means the residual alone vanishes, so
     /// every product built on it does too (both predicates are monotone in
     /// the monomial's variable set).
@@ -266,28 +266,33 @@ impl RewriteVanishing {
 
 /// The product loop of one indexed substitution step, shared by Step 2
 /// ([`gb_rewrite_indexed`]) and Step 3 ([`crate::ParallelReduction`]):
-/// adds `(m / v) · tail` to `store` for every `(m, c)` of `extracted`, the
-/// terms just drained from `store` because they contain `v`.
+/// drains every term `(m, c)` containing `v` out of `store`, one term at a
+/// time, and adds `(m / v) · tail` back, so the step's products refill the
+/// slots its drain frees and no copy of the drained terms exists. `v` must
+/// have the highest drain rank present in `store` (the store's drain
+/// contract), and `tail` must not contain `v`.
 ///
-/// * With `vanishing`, a whole extracted term is skipped when its residual
+/// * With `vanishing`, a whole drained term is skipped when its residual
 ///   monomial `m / v` vanishes on its own, and each product is judged before
 ///   it is built; a vanishing product is never inserted.
 /// * `ctx.token` is polled every [`CANCEL_POLL_INTERVAL`] products, counted
 ///   across steps in `since_poll`; an expired token stops the step with
 ///   [`Stop::Token`].
-/// * The step's term bound is the store size after extraction plus every
-///   product emitted so far. It bounds the store's size at any point of the
-///   step, and the step stops with [`Stop::Terms`] as soon as it passes
+/// * The step's term bound is the store size less `occurrences(v)` at the
+///   start of the step, plus every product emitted so far. It leaves out
+///   the terms still to be drained (the ones a per-step copy of the drained
+///   terms would hold) and bounds the rest of the store at any point of the
+///   step. The step stops with [`Stop::Terms`] as soon as the bound passes
 ///   `ctx.max_terms`, raising `stats.peak_terms` to the bound.
 ///
+/// A stopped step abandons its drain, so the terms it has not drained stay
+/// in the store, indexed; the term whose products it was adding is gone.
 /// A completed step adds its cancelled products to
 /// `stats.cancelled_vanishing` and raises `stats.peak_terms` to the store
 /// size; a stopped step adds no cancellations. Each caller counts
 /// `stats.substitutions` itself.
-#[allow(clippy::too_many_arguments)] // the step's data, the run's context and the report
 pub(crate) fn substitute_step(
     store: &mut IndexedPolynomial,
-    extracted: &[(Monomial, Int)],
     v: Var,
     tail: &Polynomial,
     mut vanishing: Option<&mut RewriteVanishing>,
@@ -296,10 +301,11 @@ pub(crate) fn substitute_step(
     stats: &mut PhaseStats,
 ) -> Result<(), Stop> {
     let max_terms = ctx.max_terms;
-    let base = store.num_terms();
+    let base = store.num_terms() - store.occurrences(v) as usize;
     let mut emitted = 0usize;
     let mut cancelled = 0u64;
-    for (m, c) in extracted {
+    let mut drain = store.drain_containing(v);
+    while let Some((m, c)) = drain.next(store) {
         let rest = m.without(v);
         if let Some(van) = vanishing.as_deref_mut() {
             if van.begin_rest(&rest) {
@@ -312,6 +318,7 @@ pub(crate) fn substitute_step(
             if *since_poll >= CANCEL_POLL_INTERVAL {
                 *since_poll = 0;
                 if ctx.token.expired() {
+                    drain.abandon(store);
                     return Err(Stop::Token);
                 }
             }
@@ -328,9 +335,10 @@ pub(crate) fn substitute_step(
             emitted += 1;
             if base + emitted > max_terms {
                 stats.peak_terms = stats.peak_terms.max(base + emitted);
+                drain.abandon(store);
                 return Err(Stop::Terms);
             }
-            store.add_term(pm, tc * c);
+            store.add_term(pm, tc * &c);
         }
     }
     stats.cancelled_vanishing += cancelled;
@@ -344,10 +352,12 @@ pub(crate) fn substitute_step(
 ///
 /// * terms containing the substituted net are drained **in place** through
 ///   the inverted var→term index instead of re-materializing the whole tail
-///   per step;
+///   per step; every candidate has drain rank 1, so any of them may be
+///   drained at any time (the store's drain contract) and each term is
+///   indexed under every candidate it contains;
 /// * with `vanishing`, structurally zero monomials are cancelled **during**
 ///   the substitution — a product whose monomial vanishes is never
-///   inserted, and a whole extracted term is skipped when its residual
+///   inserted, and a whole drained term is skipped when its residual
 ///   monomial alone already vanishes (sound because both predicates are
 ///   monotone: every supermonomial of a vanishing monomial vanishes too);
 /// * with `ctx.modulus_bits = Some(k)`, coefficients are kept canonical mod
@@ -359,9 +369,10 @@ pub(crate) fn substitute_step(
 ///   substitution candidate) retire into the store's inert accumulator,
 ///   outside all per-step index maintenance;
 /// * a substitution step stops as soon as its term bound — the tail's size
-///   after extraction plus the products the step has emitted — passes
-///   `ctx.max_terms`, so no tail outgrows the budget mid-step; `ctx.token`
-///   is polled before every substitution and inside the product loop.
+///   less the terms still to be drained, plus the products the step has
+///   emitted — passes `ctx.max_terms`, so no tail outgrows the budget
+///   mid-step; `ctx.token` is polled before every substitution and inside
+///   the product loop.
 ///
 /// Each step's products come from the loop the indexed reduction shares
 /// (`substitute_step`). The tracked set of each tail's store is its
@@ -435,13 +446,13 @@ pub(crate) fn gb_rewrite_indexed(
             stats.columns_retired += retiring_cols;
             continue;
         }
-        let mut tracked = vec![false; var_count];
+        let mut ranks = vec![0; var_count];
         for &u in &cand {
-            tracked[u.index()] = true;
+            ranks[u.index()] = 1;
         }
         let weight = ctx.spec_weights.as_ref().map_or(0, |w| w[v.index()]);
         let mut store =
-            IndexedPolynomial::new(tracked, ctx.modulus_bits.map(|k| k.saturating_sub(weight)));
+            IndexedPolynomial::new(ranks, ctx.modulus_bits.map(|k| k.saturating_sub(weight)));
         for (m, c) in tail.iter() {
             store.add_term(m.clone(), c.clone());
         }
@@ -475,24 +486,22 @@ pub(crate) fn gb_rewrite_indexed(
                 "the replacement tail of {} is not fully rewritten",
                 model.name(u)
             );
-            let extracted = store.extract_terms_containing(u);
             stats.substitutions += 1;
             if !swept {
                 swept = true;
                 if let Some(van) = vanishing.as_mut() {
-                    // The substituted terms already left the store: they are
-                    // expanded rather than pre-filtered, exactly like the
-                    // scan engine, whose first tracker sweep also runs on
-                    // the already-substituted tail — a vanishing term whose
+                    // The sweep skips the terms of `u`: they are expanded
+                    // rather than pre-filtered, exactly like the scan
+                    // engine, whose first tracker sweep also runs on the
+                    // already-substituted tail — a vanishing term whose
                     // witness variable is the one being substituted away
                     // expands into products that need not vanish.
-                    let removed = store.retain_terms(|m| !van.sweep_vanishes(m));
+                    let removed = store.retain_terms(|m| m.contains(u) || !van.sweep_vanishes(m));
                     stats.cancelled_vanishing += removed as u64;
                 }
             }
             if let Err(stop) = substitute_step(
                 &mut store,
-                &extracted,
                 u,
                 replacement,
                 vanishing.as_mut(),
@@ -505,8 +514,9 @@ pub(crate) fn gb_rewrite_indexed(
             }
         }
         stats.index_hits += store.index_hits();
-        // Reassemble even a partially rewritten tail — the scan engine also
-        // stores the tail it had when a limit fired.
+        // Reassemble even a partially rewritten tail, with the terms a
+        // stopped step had not drained yet — the scan engine also stores
+        // the tail it had when a limit fired.
         model.set_tail(v, store.into_polynomial());
         if stats.stop.is_some() {
             break 'pass;

@@ -318,7 +318,7 @@ pub enum Method {
     /// vanishing rule) — the paper's contribution.
     MtLr,
     /// MT-LR with both phases on the incremental indexed term store: Step 2
-    /// through [`IndexedLogicReductionRewrite`] (in-place extraction,
+    /// through [`IndexedLogicReductionRewrite`] (in-place drains,
     /// closure vanishing during substitution, canonical mod-`2^k`
     /// coefficients) and Step 3/4 through [`crate::ParallelReduction`]. Both
     /// phases run on the calling thread, through one shared substitution

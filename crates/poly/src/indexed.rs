@@ -5,36 +5,57 @@
 //! substitution step proportional to the *affected* term set instead of the
 //! whole polynomial:
 //!
-//! 1. **An inverted var→term-handle index.** For every *tracked* variable
-//!    (a substitutable gate output), the store keeps a list of slot handles
-//!    of terms whose monomial contains that variable, so
-//!    [`IndexedPolynomial::extract_terms_containing`] drains exactly the
-//!    affected terms with no full-table scan.
+//! 1. **A ranked inverted var→term-handle index.** Every variable has a
+//!    *drain rank*; rank `0` marks it untracked, and the tracked ones are
+//!    the substitutable gate outputs. A live term's *top-rank variables* are
+//!    the tracked variables of the highest rank it holds, and its slot
+//!    handle is kept only in their lists, so
+//!    [`IndexedPolynomial::drain_containing`] removes exactly the affected
+//!    terms, one at a time, with no full-table scan.
 //! 2. **Canonical mod-`2^k` coefficients.** With a modulus configured,
 //!    coefficients are stored in `[0, 2^k)` and terms whose coefficient is
 //!    congruent to zero cancel *at insertion time*, replacing the old
 //!    post-step "drop multiples of `2^k`" sweep over every term.
 //! 3. **A retirement accumulator.** Terms whose monomial contains no
-//!    tracked variable can never be extracted again; they are routed to a
+//!    tracked variable can never be drained again; they are routed to a
 //!    separate accumulator where they still merge and cancel against each
 //!    other, but are never touched by the per-step index maintenance.
 //!
 //! # Index invariants
 //!
-//! * Every live term whose monomial contains a tracked variable `v` has at
-//!   least one handle in `v`'s index list. Lists may additionally contain
-//!   *stale* handles (the term was cancelled or extracted, and its slot may
-//!   have been reused); staleness is detected at drain time by re-checking
-//!   that the slot is live *and* its monomial still contains `v`.
+//! * Every live term has at least one handle in the list of each of its
+//!   top-rank variables. Lists may additionally contain *stale* handles
+//!   (the term was cancelled or drained, and its slot may have been
+//!   reused); staleness is detected at drain time by re-checking that the
+//!   slot is live *and* its monomial still contains the drained variable.
+//! * Occurrence counts cover every tracked variable, whatever its rank.
 //! * The lookup table addresses terms by their cached monomial hash, so the
 //!   monomial bytes are stored exactly once (in the slot arena).
 //! * With a modulus `2^k`, a term is present iff its exact coefficient is
 //!   not a multiple of `2^k`; the stored coefficient is the canonical
 //!   representative in `[0, 2^k)`. Without a modulus, arithmetic is exact.
 //!
-//! Under the engine's level-restricted substitution order every tracked
-//! variable is drained at most once, so index maintenance is amortized
-//! `O(1)` per inserted term per tracked variable it contains.
+//! # Drain contract
+//!
+//! A tracked variable `v` may be drained only while no live term holds a
+//! tracked variable of a higher rank; the store checks this with a
+//! `debug_assert!` on every drain. Every live term containing `v` then has
+//! `v` among its top-rank variables, so `v`'s list reaches all of them.
+//! While a drain of `v` is open, the terms added to the store must not
+//! contain `v`. The reduction engine ranks each variable by its logic level
+//! plus one and always drains from the highest level present, so a term is
+//! indexed only under its highest-level variables; a store whose tracked
+//! variables all share rank `1` indexes each term under every tracked
+//! variable it contains and may drain any of them.
+//!
+//! A substitution step drains `v` and adds each drained term's products
+//! before it draws the next one, so the products refill the slots the
+//! drain frees. Its term bound is the store size less
+//! [`IndexedPolynomial::occurrences`] of `v` at the step's start, plus the
+//! products emitted since: the terms still to be drained are left out, as
+//! a per-step copy of the drained terms would have held them. A step that
+//! stops early [abandons](Drain::abandon) its drain, and the terms not yet
+//! drained stay in the store, indexed.
 
 use crate::{FastMap, Int, Monomial, Polynomial, Var};
 
@@ -43,10 +64,10 @@ const EMPTY: u32 = u32::MAX;
 /// Bucket marker: an entry was removed here (probe chains continue).
 const TOMB: u32 = u32::MAX - 1;
 
-/// A term store with an inverted var→term index, optional canonical
+/// A term store with a ranked inverted var→term index, optional canonical
 /// mod-`2^k` coefficients, and an accumulator that retires terms no longer
 /// reachable by any substitution. See the module docs for the
-/// invariants.
+/// invariants and the drain contract.
 #[derive(Debug, Clone)]
 pub struct IndexedPolynomial {
     /// Slot arena: `None` slots are free (their ids are on `free`).
@@ -62,8 +83,8 @@ pub struct IndexedPolynomial {
     tombs: usize,
     /// Per-variable handle lists; non-empty only for tracked variables.
     var_index: Vec<Vec<u32>>,
-    /// Which variables are tracked (substitutable); indexed by `Var::index`.
-    tracked: Vec<bool>,
+    /// Drain rank per variable (`0` = untracked); indexed by `Var::index`.
+    ranks: Vec<u32>,
     /// Live-term occurrence counts per variable (tracked variables only).
     counts: Vec<u32>,
     /// Terms with no tracked variable: they merge and cancel against each
@@ -71,19 +92,19 @@ pub struct IndexedPolynomial {
     inert: FastMap<Monomial, Int>,
     /// When `Some(k)`, coefficients are canonical mod `2^k`.
     modulus_bits: Option<u32>,
-    /// Terms retrieved through the inverted index by
-    /// [`extract_terms_containing`](Self::extract_terms_containing).
+    /// Terms removed through the inverted index by a [`Drain`].
     index_hits: u64,
 }
 
 impl IndexedPolynomial {
-    /// Creates an empty store. `tracked[v.index()]` marks the substitutable
-    /// variables; variables at or beyond `tracked.len()` are untracked.
+    /// Creates an empty store. `ranks[v.index()]` is the drain rank of `v`
+    /// (`0` = untracked; variables at or beyond `ranks.len()` are
+    /// untracked), and the module docs give the drain contract it implies.
     /// With `modulus_bits = Some(k)`, coefficients are kept canonical mod
     /// `2^k` and terms cancel as soon as their coefficient is a multiple of
     /// `2^k`.
-    pub fn new(tracked: Vec<bool>, modulus_bits: Option<u32>) -> IndexedPolynomial {
-        let n = tracked.len();
+    pub fn new(ranks: Vec<u32>, modulus_bits: Option<u32>) -> IndexedPolynomial {
+        let n = ranks.len();
         IndexedPolynomial {
             slots: Vec::new(),
             free: Vec::new(),
@@ -91,7 +112,7 @@ impl IndexedPolynomial {
             items: 0,
             tombs: 0,
             var_index: vec![Vec::new(); n],
-            tracked,
+            ranks,
             counts: vec![0; n],
             inert: FastMap::default(),
             modulus_bits,
@@ -103,10 +124,10 @@ impl IndexedPolynomial {
     /// reduction to ingest the rewritten specification).
     pub fn from_polynomial(
         p: &Polynomial,
-        tracked: Vec<bool>,
+        ranks: Vec<u32>,
         modulus_bits: Option<u32>,
     ) -> IndexedPolynomial {
-        let mut ix = IndexedPolynomial::new(tracked, modulus_bits);
+        let mut ix = IndexedPolynomial::new(ranks, modulus_bits);
         for (m, c) in p.iter() {
             ix.add_term(m.clone(), c.clone());
         }
@@ -146,7 +167,7 @@ impl IndexedPolynomial {
         &self.counts
     }
 
-    /// Terms retrieved through the inverted index so far.
+    /// Terms removed through the inverted index so far.
     pub fn index_hits(&self) -> u64 {
         self.index_hits
     }
@@ -158,12 +179,23 @@ impl IndexedPolynomial {
         }
     }
 
-    fn is_tracked(&self, v: Var) -> bool {
-        self.tracked.get(v.index()).copied().unwrap_or(false)
+    fn rank(&self, v: Var) -> u32 {
+        self.ranks.get(v.index()).copied().unwrap_or(0)
     }
 
     fn has_tracked(&self, m: &Monomial) -> bool {
-        m.vars().any(|v| self.is_tracked(v))
+        m.vars().any(|v| self.rank(v) > 0)
+    }
+
+    /// The highest rank a live term holds (`0` when no term is live).
+    fn top_present_rank(&self) -> u32 {
+        self.counts
+            .iter()
+            .zip(&self.ranks)
+            .filter(|&(&occ, _)| occ > 0)
+            .map(|(_, &rank)| rank)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Adds `coeff * monomial`, merging with an existing term and removing
@@ -219,33 +251,27 @@ impl IndexedPolynomial {
         }
     }
 
-    /// Drains every term containing `v` through the inverted index,
-    /// removing the terms from the store and returning them. Only tracked
-    /// variables have an index; for untracked variables this returns an
-    /// empty vector (such terms are never extracted by the engine).
-    pub fn extract_terms_containing(&mut self, v: Var) -> Vec<(Monomial, Int)> {
-        let Some(list) = self.var_index.get_mut(v.index()) else {
-            return Vec::new();
-        };
-        let handles = std::mem::take(list);
-        let mut out = Vec::with_capacity(handles.len());
-        for id in handles {
-            // Stale handles: the slot died, or was reused by a monomial that
-            // does not contain `v`. (A reused slot whose monomial *does*
-            // contain `v` is a legitimate drain target — the reuse also
-            // pushed a fresh handle, which will later be skipped as stale.)
-            let live_with_v = matches!(
-                self.slots.get(id as usize).and_then(Option::as_ref),
-                Some((m, _)) if m.contains(v)
-            );
-            if !live_with_v {
-                continue;
-            }
-            let (m, c) = self.remove_slot(id);
-            self.index_hits += 1;
-            out.push((m, c));
+    /// Opens a drain of every live term containing `v`: each
+    /// [`Drain::next`] removes one of them from the store and returns it.
+    /// `v` must satisfy the drain contract of the module docs (a
+    /// `debug_assert!` checks it). An untracked variable has no index, and
+    /// its drain is empty.
+    pub fn drain_containing(&mut self, v: Var) -> Drain {
+        let rank = self.rank(v);
+        debug_assert!(
+            rank == 0 || self.top_present_rank() <= rank,
+            "drain contract: {v:?} has rank {rank}, below the top present rank {}",
+            self.top_present_rank()
+        );
+        let handles = self
+            .var_index
+            .get_mut(v.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        Drain {
+            v,
+            handles: handles.into_iter(),
         }
-        out
     }
 
     /// Removes every term (live or retired) whose monomial fails `keep`,
@@ -291,9 +317,16 @@ impl IndexedPolynomial {
         self.buckets[bucket] = id;
         self.items += 1;
         let (m, _) = self.slots[id as usize].as_ref().expect("just inserted");
+        let mut top = 0;
         for v in m.vars() {
-            if self.tracked.get(v.index()).copied().unwrap_or(false) {
+            let rank = self.rank(v);
+            if rank > 0 {
                 self.counts[v.index()] += 1;
+                top = top.max(rank);
+            }
+        }
+        for v in m.vars() {
+            if self.rank(v) == top {
                 self.var_index[v.index()].push(id);
             }
         }
@@ -309,7 +342,7 @@ impl IndexedPolynomial {
         let (m, c) = self.slots[id as usize].take().expect("live slot");
         self.free.push(id);
         for v in m.vars() {
-            if self.tracked.get(v.index()).copied().unwrap_or(false) {
+            if self.rank(v) > 0 {
                 self.counts[v.index()] -= 1;
             }
         }
@@ -394,22 +427,20 @@ impl IndexedPolynomial {
             if let Some(k) = self.modulus_bits {
                 assert_eq!(*c, c.mod_pow2(k), "non-canonical coefficient");
             }
-            assert!(
-                self.has_tracked(m),
-                "live slot holds a term with no tracked variable"
-            );
-            let mut indexed = false;
+            let top = m.vars().map(|v| self.rank(v)).max().unwrap_or(0);
+            assert!(top > 0, "live slot holds a term with no tracked variable");
             for v in m.vars() {
-                if self.is_tracked(v) {
+                let rank = self.rank(v);
+                if rank > 0 {
                     counts[v.index()] += 1;
+                }
+                if rank == top {
                     assert!(
                         self.var_index[v.index()].contains(&(id as u32)),
-                        "live term missing from the index of {v:?}"
+                        "live term missing from the index of its top-rank variable {v:?}"
                     );
-                    indexed = true;
                 }
             }
-            assert!(indexed);
             match self.find_bucket(m) {
                 FindResult::Found(b) => assert_eq!(self.buckets[b], id as u32),
                 FindResult::Absent(_) => panic!("live term unreachable through the table"),
@@ -437,6 +468,51 @@ enum FindResult {
     Absent(usize),
 }
 
+/// An open drain of the live terms containing one variable, opened by
+/// [`IndexedPolynomial::drain_containing`] on the store it must be used
+/// with. It owns the variable's handle list for as long as it is open, so
+/// nothing is copied: [`Drain::next`] removes one term at a time, and the
+/// terms added between two calls refill the slots it freed. A drain that
+/// stops early must be [`abandon`](Drain::abandon)ed, or the terms it has
+/// not reached yet lose their index entries.
+#[derive(Debug)]
+#[must_use = "a drain left unfinished must be abandoned to keep the store indexed"]
+pub struct Drain {
+    v: Var,
+    /// The handles not yet visited.
+    handles: std::vec::IntoIter<u32>,
+}
+
+impl Drain {
+    /// Removes the next live term containing the drained variable from
+    /// `store` and returns it, or `None` once every such term has left.
+    pub fn next(&mut self, store: &mut IndexedPolynomial) -> Option<(Monomial, Int)> {
+        for id in self.handles.by_ref() {
+            // Stale handles: the slot died, or was reused by a monomial that
+            // does not contain `v`. (A reused slot whose monomial *does*
+            // contain `v` is a legitimate drain target — the reuse also
+            // pushed a fresh handle, which will later be skipped as stale.)
+            let live_with_v = matches!(
+                store.slots.get(id as usize).and_then(Option::as_ref),
+                Some((m, _)) if m.contains(self.v)
+            );
+            if live_with_v {
+                store.index_hits += 1;
+                return Some(store.remove_slot(id));
+            }
+        }
+        None
+    }
+
+    /// Ends the drain early: the handles it has not visited go back to the
+    /// variable's list, so the terms still to be drained stay indexed.
+    pub fn abandon(self, store: &mut IndexedPolynomial) {
+        if let Some(list) = store.var_index.get_mut(self.v.index()) {
+            list.extend(self.handles);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,12 +522,19 @@ mod tests {
         Monomial::from_vars(vars.iter().map(|&v| Var(v)))
     }
 
-    fn tracked(n: usize, which: &[u32]) -> Vec<bool> {
-        let mut t = vec![false; n];
+    /// Ranks `n` variables: rank 1 for `which`, untracked otherwise.
+    fn tracked(n: usize, which: &[u32]) -> Vec<u32> {
+        let mut ranks = vec![0; n];
         for &v in which {
-            t[v as usize] = true;
+            ranks[v as usize] = 1;
         }
-        t
+        ranks
+    }
+
+    /// Drains every live term containing `v`.
+    fn drain_all(ix: &mut IndexedPolynomial, v: Var) -> Vec<(Monomial, Int)> {
+        let mut drain = ix.drain_containing(v);
+        std::iter::from_fn(|| drain.next(ix)).collect()
     }
 
     #[test]
@@ -480,7 +563,7 @@ mod tests {
         ix.add_term(mono(&[0, 3]), Int::from(1));
         ix.add_term(mono(&[1, 3, 4]), Int::from(2));
         ix.add_term(mono(&[4]), Int::from(3));
-        let mut got = ix.extract_terms_containing(Var(3));
+        let mut got = drain_all(&mut ix, Var(3));
         got.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(
             got,
@@ -494,7 +577,7 @@ mod tests {
         assert_eq!(ix.num_terms(), 1);
         ix.assert_consistent();
         // The drained index stays empty until new terms arrive.
-        assert!(ix.extract_terms_containing(Var(3)).is_empty());
+        assert!(drain_all(&mut ix, Var(3)).is_empty());
     }
 
     #[test]
@@ -505,7 +588,7 @@ mod tests {
                                                 // Reuses the freed slot: var 1's list still holds the stale handle,
                                                 // now pointing at a live slot whose monomial does not contain var 1.
         ix.add_term(mono(&[2]), Int::from(1));
-        assert!(ix.extract_terms_containing(Var(1)).is_empty());
+        assert!(drain_all(&mut ix, Var(1)).is_empty());
         assert_eq!(ix.num_terms(), 1);
         ix.assert_consistent();
     }
@@ -532,7 +615,7 @@ mod tests {
     proptest! {
         /// The inverted index stays consistent with a from-scratch rebuild
         /// (a plain `Polynomial`) under arbitrary interleavings of
-        /// `add_term`, `extract_terms_containing`, and coefficient
+        /// `add_term`, drains, and coefficient
         /// cancellation to zero — with and without a coefficient modulus.
         #[test]
         fn index_matches_scratch_rebuild_under_interleavings(
@@ -551,9 +634,9 @@ mod tests {
                         ix.add_term(m.clone(), Int::from(*c));
                         reference.add_term(m, Int::from(*c));
                     } else {
-                        // Extraction is only defined for tracked variables.
+                        // Drains of tracked variables (all of rank 1).
                         let v = Var(vars.first().copied().unwrap_or(*sel - 6).min(2));
-                        let mut got = ix.extract_terms_containing(v);
+                        let mut got = drain_all(&mut ix, v);
                         // The reference stores exact coefficients; terms
                         // whose coefficient is a multiple of the modulus
                         // are absent from the indexed store by invariant.
@@ -591,8 +674,8 @@ mod tests {
     fn untracked_variable_extracts_nothing() {
         let mut ix = IndexedPolynomial::new(tracked(2, &[0]), None);
         ix.add_term(mono(&[0, 1]), Int::from(1));
-        assert!(ix.extract_terms_containing(Var(1)).is_empty());
-        assert!(ix.extract_terms_containing(Var(7)).is_empty());
+        assert!(drain_all(&mut ix, Var(1)).is_empty());
+        assert!(drain_all(&mut ix, Var(7)).is_empty());
         assert_eq!(ix.num_terms(), 1);
         ix.assert_consistent();
     }
@@ -612,7 +695,7 @@ mod tests {
     }
 
     proptest! {
-        /// The rewrite-oriented ops — single-variable extraction and the
+        /// The rewrite-oriented ops — single-variable drains and the
         /// `retain_terms` sweep — stay consistent with a from-scratch
         /// rebuild (and with a naive scan of a plain `Polynomial`) under
         /// arbitrary interleavings with `add_term`, with and without a
@@ -644,10 +727,10 @@ mod tests {
                             reference.retain_terms(|m| !m.contains(r));
                         }
                         _ => {
-                            // Extraction of one tracked variable, against a
+                            // A drain of one tracked variable, against a
                             // naive scan.
                             let v = Var(vars.first().copied().unwrap_or(*sel) % 3);
-                            let mut got = ix.extract_terms_containing(v);
+                            let mut got = drain_all(&mut ix, v);
                             let mut want: Vec<(Monomial, Int)> = reference
                                 .extract_terms_containing(v)
                                 .into_iter()
@@ -687,8 +770,168 @@ mod tests {
         }
         assert_eq!(ix.live_terms(), 399);
         ix.assert_consistent();
-        let got = ix.extract_terms_containing(Var(0));
+        let got = drain_all(&mut ix, Var(0));
         assert_eq!(got.len(), 399);
         assert!(ix.is_zero());
+    }
+
+    /// A term is indexed only under its top-rank variables: a drain of the
+    /// top-rank variable removes it, the lower-rank variables' lists never
+    /// held it, and its products are indexed by their own top rank.
+    #[test]
+    fn terms_are_indexed_under_their_top_rank_variables() {
+        // Ranks: var 0 untracked, var 1 rank 1, vars 2 and 3 rank 2.
+        let mut ix = IndexedPolynomial::new(vec![0, 1, 2, 2], None);
+        ix.add_term(mono(&[0, 1, 2]), Int::from(1));
+        ix.add_term(mono(&[1, 2, 3]), Int::from(2));
+        ix.add_term(mono(&[1]), Int::from(3));
+        ix.assert_consistent();
+        assert_eq!(ix.occurrences(Var(1)), 3, "counts cover every rank");
+        assert_eq!(
+            ix.var_index[1].len(),
+            1,
+            "only the rank-1 term sits under var 1"
+        );
+        let mut got = drain_all(&mut ix, Var(2));
+        got.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            got,
+            vec![
+                (mono(&[0, 1, 2]), Int::from(1)),
+                (mono(&[1, 2, 3]), Int::from(2)),
+            ]
+        );
+        // Var 3 no longer occurs, so rank 1 is now the top present rank.
+        ix.add_term(mono(&[0, 1]), Int::from(4));
+        ix.assert_consistent();
+        assert_eq!(drain_all(&mut ix, Var(1)).len(), 2);
+        assert_eq!(ix.num_terms(), 0);
+    }
+
+    /// A drain abandoned part-way, as a stopped substitution step leaves
+    /// it, returns the handles it has not visited: the terms still to be
+    /// drained stay indexed, and a later drain finds them.
+    #[test]
+    fn abandoned_drain_keeps_the_rest_indexed() {
+        let mut ix = IndexedPolynomial::new(tracked(4, &[0, 1]), None);
+        for v in 1..4u32 {
+            ix.add_term(mono(&[0, v]), Int::from(v as i64));
+        }
+        let mut drain = ix.drain_containing(Var(0));
+        let (m, c) = drain.next(&mut ix).expect("three terms contain var 0");
+        // A product of the step, which refills the slot just freed.
+        ix.add_term(m.without(Var(0)).mul(&mono(&[1])), c);
+        drain.abandon(&mut ix);
+        ix.assert_consistent();
+        assert_eq!(ix.occurrences(Var(0)), 2);
+        assert_eq!(drain_all(&mut ix, Var(0)).len(), 2);
+        assert_eq!(ix.index_hits(), 3);
+        ix.assert_consistent();
+    }
+
+    /// A drain below the highest rank present would miss the terms indexed
+    /// under their higher-rank variables; debug builds reject it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "drain contract")]
+    fn draining_below_the_top_present_rank_panics() {
+        let mut ix = IndexedPolynomial::new(vec![1, 2], None);
+        // Indexed under var 1 alone, its top-rank variable.
+        ix.add_term(mono(&[0, 1]), Int::from(1));
+        let _ = ix.drain_containing(Var(0));
+    }
+
+    proptest! {
+        /// Ranked drains against a mirror `Polynomial`, over random ranks
+        /// and with and without a coefficient modulus. Every step drains a
+        /// variable of the highest rank still present. After each drawn
+        /// term it adds a product that avoids the drained variable, so
+        /// freed slots are refilled while stale handles to them are still
+        /// pending. A small `stop_after` abandons the drain after that many
+        /// terms, as a stopped step does. A completed drain returns exactly
+        /// the mirror's terms containing the variable; an abandoned one
+        /// returns some of them and leaves the rest in the store.
+        #[test]
+        fn ranked_drains_match_a_mirror_polynomial(
+            ranks in proptest::collection::vec(0u32..4, 8),
+            terms in proptest::collection::vec(
+                (proptest::collection::vec(0u32..8, 0..5), -4i64..5),
+                1..30,
+            ),
+            steps in proptest::collection::vec(
+                (0usize..8, proptest::collection::vec(0u32..8, 0..3), 0usize..8),
+                1..12,
+            ),
+            modulus_k in 0u32..4,
+        ) {
+            for modulus in [None, Some(modulus_k + 1)] {
+                let canon = |c: &Int| match modulus {
+                    Some(k) => c.mod_pow2(k),
+                    None => c.clone(),
+                };
+                let mut ix = IndexedPolynomial::new(ranks.clone(), modulus);
+                let mut mirror = Polynomial::zero();
+                for (vars, c) in &terms {
+                    ix.add_term(mono(vars), Int::from(*c));
+                    mirror.add_term(mono(vars), Int::from(*c));
+                }
+                ix.assert_consistent();
+                for (pick, factor, stop_after) in &steps {
+                    let present: Vec<Var> =
+                        (0..8u32).map(Var).filter(|&v| ix.occurrences(v) > 0).collect();
+                    let Some(top) = present.iter().map(|v| ranks[v.index()]).max() else {
+                        break;
+                    };
+                    let tops: Vec<Var> =
+                        present.into_iter().filter(|v| ranks[v.index()] == top).collect();
+                    let v = tops[pick % tops.len()];
+                    let mut want: Vec<(Monomial, Int)> = mirror
+                        .extract_terms_containing(v)
+                        .into_iter()
+                        .map(|(m, c)| (m, canon(&c)))
+                        .filter(|(_, c)| !c.is_zero())
+                        .collect();
+                    want.sort_by(|a, b| a.0.cmp(&b.0));
+                    let factor =
+                        Monomial::from_vars(factor.iter().map(|&u| Var(u)).filter(|&u| u != v));
+                    let mut drain = ix.drain_containing(v);
+                    let mut got = Vec::new();
+                    loop {
+                        if got.len() == *stop_after {
+                            drain.abandon(&mut ix);
+                            break;
+                        }
+                        let Some((m, c)) = drain.next(&mut ix) else { break };
+                        let product = m.without(v).mul(&factor);
+                        ix.add_term(product.clone(), c.clone());
+                        mirror.add_term(product, c.clone());
+                        got.push((m, c));
+                    }
+                    got.sort_by(|a, b| a.0.cmp(&b.0));
+                    if got.len() < *stop_after {
+                        prop_assert_eq!(&got, &want);
+                    }
+                    // The terms the drain did not reach are still in the
+                    // store, so they go back into the mirror.
+                    let mut reached = 0;
+                    for (m, c) in &want {
+                        match got.binary_search_by(|g| g.0.cmp(m)) {
+                            Ok(i) => {
+                                prop_assert_eq!(&got[i].1, c);
+                                reached += 1;
+                            }
+                            Err(_) => mirror.add_term(m.clone(), c.clone()),
+                        }
+                    }
+                    prop_assert_eq!(reached, got.len(), "drained a term the mirror lacks");
+                    ix.assert_consistent();
+                }
+                let canonical = match modulus {
+                    Some(k) => mirror.mod_coeffs_pow2(k),
+                    None => mirror,
+                };
+                prop_assert_eq!(ix.into_polynomial(), canonical);
+            }
+        }
     }
 }

@@ -15,8 +15,9 @@
 //!   only beyond that, so the reduction inner loop does plain machine
 //!   arithmetic with no allocation.
 //! * [`Var`], [`Monomial`] — variables and multilinear power products.
-//!   Monomials store up to [`INLINE_VARS`] variables inline (heap only for
-//!   rare high-degree monomials) and cache their hash at construction.
+//!   Monomials store up to [`INLINE_VARS`] variables inline and cache their
+//!   hash at construction. Higher degrees spill to the heap, as a third to
+//!   two thirds of the Step-3 products of the large width-8 designs do.
 //! * [`Polynomial`] — a sparse sum of terms with [`Int`] coefficients in an
 //!   [`FastMap`], with the substitution operation that implements the
 //!   S-polynomial step (division by a polynomial of the form `-v + tail`),
@@ -27,6 +28,16 @@
 //!   substitution step touches only the terms containing the substituted
 //!   net, canonical mod-`2^k` coefficients that cancel at insertion time,
 //!   and a retirement accumulator for terms no substitution can reach.
+//!   Each variable has a drain rank (`0` = untracked), and a term is
+//!   indexed only under the tracked variables of the highest rank it holds.
+//!   That is exact under the store's drain contract: a variable is drained
+//!   only while no live term holds a higher rank. A [`Drain`] removes the
+//!   drained variable's terms one at a time, so the products of a
+//!   substitution step refill the slots it frees instead of waiting beside
+//!   a copy of the drained terms. The engines' per-step term bound, the
+//!   store size less the drained variable's occurrences at the step's
+//!   start plus the products emitted since, leaves out the terms still to
+//!   be drained.
 //! * [`FastMap`] / [`FastSet`] — `ahash`-keyed hash containers used for every
 //!   hot map in the engine (term tables, keep-sets, model indices).
 //! * [`spec`] — specification polynomials for adders and (modular) multipliers.
@@ -69,7 +80,7 @@ mod monomial;
 mod polynomial;
 pub mod spec;
 
-pub use indexed::IndexedPolynomial;
+pub use indexed::{Drain, IndexedPolynomial};
 pub use int::Int;
 pub use monomial::{Monomial, Var, INLINE_VARS};
 pub use polynomial::Polynomial;

@@ -25,11 +25,13 @@ impl fmt::Display for Var {
 }
 
 /// Number of variables a [`Monomial`] stores inline before spilling to the
-/// heap. Reduction intermediates of the width-8 benchmarks reach degree
-/// ~2·width, so the capacity covers them: the expansion inner loop of the
-/// (parallel) reduction engines creates tens of millions of product
-/// monomials per run, and spilling them would cost a heap allocation and a
-/// pointer chase per hash-map equality check each.
+/// heap, where a monomial costs an allocation and a pointer chase per
+/// hash-map equality check. The capacity does not cover the width-8
+/// reduction intermediates: of the products Step 3 emits, 38.6 % of 5.16 M
+/// spill on SP-RT-KS (degree up to 28) and 65.7 % of 3.12 M on BP-AR-HC
+/// (degree up to 26). A larger capacity makes every slot of the term store
+/// larger as well; see the ROADMAP's compact-term-store item for the
+/// measurements behind keeping 16.
 pub const INLINE_VARS: usize = 16;
 
 /// The variable storage of a monomial: inline up to [`INLINE_VARS`]
@@ -51,7 +53,9 @@ enum VarsRepr {
 /// reduction inner loop:
 ///
 /// * **Inline capacity** — up to [`INLINE_VARS`] variables are stored inline
-///   (no heap allocation); only rare high-degree monomials spill to a `Vec`.
+///   (no heap allocation); higher-degree monomials spill to a `Vec`, which
+///   most width-8 Step-3 products of the Kogge–Stone and Han–Carlson
+///   designs do (see [`INLINE_VARS`]).
 /// * **Cached hash** — the hash of the variable list is computed once at
 ///   construction, so hash-map probes during [`crate::Polynomial`] term
 ///   insertion cost a single `u64` mix instead of rehashing the list.
