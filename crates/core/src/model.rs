@@ -1,5 +1,9 @@
-use gbmv_netlist::{analysis, cone, GateKind, NetId, Netlist};
+use std::sync::{Arc, OnceLock};
+
+use gbmv_netlist::{analysis, GateKind, NetId, Netlist};
 use gbmv_poly::{FastMap, FastSet, Int, Monomial, Polynomial, Var};
+
+use crate::vanishing::ClosureVanishing;
 
 /// Why model extraction (Step 1 of the MT algorithm) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +45,41 @@ pub struct GateFunction {
     pub inputs: Vec<Var>,
 }
 
+/// The facts of a circuit that Step 1 fixes and no run changes, in dense
+/// tables indexed by [`Var::index`]. Every clone of a model shares one.
+#[derive(Debug)]
+struct Circuit {
+    /// Gate-output variables in ascending topological order (inputs side
+    /// first). The reverse is the substitution order of the GB reduction.
+    topo_order: Vec<Var>,
+    /// Logic level per variable.
+    levels: Vec<usize>,
+    /// The structural definition of the gate driving each variable; `None`
+    /// for primary inputs and undriven nets.
+    gate_functions: Vec<Option<GateFunction>>,
+    /// Primary input variables in declaration order.
+    inputs: Vec<Var>,
+    /// Primary output variables in declaration order.
+    outputs: Vec<Var>,
+    /// Whether each variable is a primary input; queried once per candidate
+    /// variable in the rewrite inner loop.
+    is_input: Vec<bool>,
+    /// Whether each variable is a primary output.
+    is_output: Vec<bool>,
+    /// Fanout count per variable (from the original netlist).
+    fanout: Vec<usize>,
+    /// Output-column support mask per variable: bit `min(j, 63)` is set
+    /// when the variable lies in the backward cone of primary output `j`.
+    /// Drives the indexed engines' column-weight substitution order and
+    /// their column-retirement accounting.
+    column_masks: Vec<u64>,
+    /// Net names, for diagnostics.
+    names: Vec<String>,
+    /// The closure vanishing index over the gate functions, built on first
+    /// use and then shared by every phase of every run.
+    closure: OnceLock<Arc<ClosureVanishing>>,
+}
+
 /// The algebraic (Gröbner basis) model of a circuit.
 ///
 /// Every net of the netlist becomes a variable; every gate becomes a
@@ -53,34 +92,18 @@ pub struct GateFunction {
 /// The model stores only the tails; the leading term `-z` is implicit. This
 /// makes substitution (`Spoly` against a polynomial of this shape) a simple
 /// call to [`Polynomial::substitute`].
+///
+/// Only the tails change after extraction. Everything else — the
+/// topological order, levels, gate functions, input/output flags, fanout,
+/// output-column masks, names and the closure vanishing index — belongs to
+/// one immutable circuit that every clone shares, so cloning a model copies
+/// only its tails.
 #[derive(Debug, Clone)]
 pub struct AlgebraicModel {
-    /// Tail polynomial per gate-output variable.
-    tails: FastMap<Var, Polynomial>,
-    /// Gate-output variables in ascending topological order (inputs side
-    /// first). The reverse is the substitution order of the GB reduction.
-    topo_order: Vec<Var>,
-    /// Logic level per variable index.
-    levels: Vec<usize>,
-    /// Primary input variables.
-    inputs: Vec<Var>,
-    /// Primary output variables in declaration order.
-    outputs: Vec<Var>,
-    /// O(1) membership indices over `inputs` / `outputs`; queried once per
-    /// candidate variable in the rewrite inner loop.
-    input_set: FastSet<Var>,
-    output_set: FastSet<Var>,
-    /// Fanout count per variable index (from the original netlist).
-    fanout: Vec<usize>,
-    /// Structural gate definitions for the vanishing rule.
-    gate_functions: FastMap<Var, GateFunction>,
-    /// Output-column support mask per variable index: bit `min(j, 63)` is
-    /// set when the variable lies in the backward cone of primary output
-    /// `j`. Drives the indexed engines' column-weight substitution order
-    /// and their column-retirement accounting.
-    column_reach: Vec<u64>,
-    /// Net names, for diagnostics.
-    names: Vec<String>,
+    circuit: Arc<Circuit>,
+    /// Tail polynomial per variable: `Some` for a gate output whose
+    /// polynomial is still in the model.
+    tails: Vec<Option<Polynomial>>,
 }
 
 impl AlgebraicModel {
@@ -91,60 +114,79 @@ impl AlgebraicModel {
     /// combinational cycle (a cyclic model has no reverse-topological
     /// variable order and therefore is not a Gröbner basis by construction).
     pub fn from_netlist(netlist: &Netlist) -> Result<Self, ExtractError> {
-        let order = match analysis::topological_order_or_cycle(netlist) {
-            Ok(order) => order,
-            Err(stuck) => {
-                return Err(ExtractError::CombinationalCycle {
-                    nets: stuck
-                        .iter()
-                        .take(16)
-                        .map(|&n| netlist.net_name(n).to_string())
-                        .collect(),
-                });
+        let order = analysis::topological_order_or_cycle(netlist).map_err(|stuck| {
+            ExtractError::CombinationalCycle {
+                nets: stuck
+                    .iter()
+                    .take(16)
+                    .map(|&n| netlist.net_name(n).to_string())
+                    .collect(),
             }
-        };
-        let levels = analysis::logic_levels(netlist);
-        let fanout = analysis::fanout_counts(netlist);
-        let mut tails = FastMap::default();
-        let mut gate_functions = FastMap::default();
-        let mut topo_order = Vec::new();
+        })?;
+        let var_count = netlist.net_count();
+        let mut levels = vec![0; var_count];
+        let mut gate_functions = vec![None; var_count];
+        let mut tails = vec![None; var_count];
+        let mut topo_order = Vec::with_capacity(netlist.gate_count());
         for net in order {
-            if let Some(gate) = netlist.driver(net) {
-                let out = Var(net.0);
-                let input_vars: Vec<Var> = gate.inputs.iter().map(|n| Var(n.0)).collect();
-                tails.insert(out, gate_tail(gate.kind, &input_vars));
-                let mut sorted_inputs = input_vars.clone();
-                sorted_inputs.sort();
-                gate_functions.insert(
-                    out,
-                    GateFunction {
-                        kind: gate.kind,
-                        inputs: sorted_inputs,
-                    },
-                );
-                topo_order.push(out);
-            }
+            let Some(gate) = netlist.driver(net) else {
+                continue;
+            };
+            let out = Var(net.0);
+            let mut inputs: Vec<Var> = gate.inputs.iter().map(|n| Var(n.0)).collect();
+            levels[out.index()] = inputs
+                .iter()
+                .map(|u| levels[u.index()] + 1)
+                .max()
+                .unwrap_or(0);
+            tails[out.index()] = Some(gate_tail(gate.kind, &inputs));
+            inputs.sort_unstable();
+            gate_functions[out.index()] = Some(GateFunction {
+                kind: gate.kind,
+                inputs,
+            });
+            topo_order.push(out);
         }
         let inputs: Vec<Var> = netlist.inputs().iter().map(|n| Var(n.0)).collect();
         let outputs: Vec<Var> = netlist.outputs().iter().map(|(_, n)| Var(n.0)).collect();
-        let input_set: FastSet<Var> = inputs.iter().copied().collect();
-        let output_set: FastSet<Var> = outputs.iter().copied().collect();
-        let names = (0..netlist.net_count())
+        let mut is_input = vec![false; var_count];
+        for v in &inputs {
+            is_input[v.index()] = true;
+        }
+        let mut is_output = vec![false; var_count];
+        let mut column_masks = vec![0u64; var_count];
+        for (j, v) in outputs.iter().enumerate() {
+            is_output[v.index()] = true;
+            column_masks[v.index()] |= 1 << j.min(63);
+        }
+        // `v` lies in the fan-in cone of output `j` exactly when `j` is
+        // reachable from `v`. In reverse topological order each gate's mask
+        // is final before it passes to the gate's inputs.
+        for &v in topo_order.iter().rev() {
+            let mask = column_masks[v.index()];
+            for u in gate_functions[v.index()].iter().flat_map(|g| &g.inputs) {
+                column_masks[u.index()] |= mask;
+            }
+        }
+        let names = (0..var_count)
             .map(|i| netlist.net_name(NetId(i as u32)).to_string())
             .collect();
-        let column_reach = cone::output_column_masks(netlist);
-        Ok(AlgebraicModel {
-            tails,
+        let circuit = Circuit {
             topo_order,
             levels,
+            gate_functions,
             inputs,
             outputs,
-            input_set,
-            output_set,
-            fanout,
-            gate_functions,
-            column_reach,
+            is_input,
+            is_output,
+            fanout: analysis::fanout_counts(netlist),
+            column_masks,
             names,
+            closure: OnceLock::new(),
+        };
+        Ok(AlgebraicModel {
+            circuit: Arc::new(circuit),
+            tails,
         })
     }
 
@@ -157,58 +199,84 @@ impl AlgebraicModel {
     /// keeping the netlist alive. On a (fully) rewritten model the result is
     /// unchanged because substitution preserves the circuit function.
     pub fn evaluate(&self, assignment: &impl Fn(Var) -> bool) -> Vec<bool> {
-        let mut values = vec![false; self.names.len()];
-        for &v in &self.inputs {
+        let mut values = vec![false; self.var_count()];
+        for &v in &self.circuit.inputs {
             values[v.index()] = assignment(v);
         }
-        for &v in &self.topo_order {
-            if let Some(tail) = self.tails.get(&v) {
+        for &v in &self.circuit.topo_order {
+            if let Some(tail) = self.tail(v) {
                 values[v.index()] = !tail.eval_bool(&|u: Var| values[u.index()]).is_zero();
             }
         }
-        self.outputs.iter().map(|o| values[o.index()]).collect()
+        self.circuit
+            .outputs
+            .iter()
+            .map(|o| values[o.index()])
+            .collect()
     }
 
     /// The output-column support mask of `v`: bit `min(j, 63)` is set when
-    /// `v` lies in the backward cone of primary output `j` (0 for variables
-    /// the extraction never saw). See
-    /// [`gbmv_netlist::cone::output_column_masks`].
+    /// `v` lies in the backward (fan-in) cone of primary output `j`, in
+    /// declaration order (0 for variables outside the model). Outputs
+    /// beyond 63 saturate onto bit 63.
+    ///
+    /// The indexed engines use the masks two ways: the substitution order
+    /// prefers variables that only reach low output columns (their terms
+    /// retire into the input-only accumulator sooner), and a column counts
+    /// as retired once every tracked variable carrying its bit has been
+    /// substituted.
     pub fn column_mask(&self, v: Var) -> u64 {
-        self.column_reach.get(v.index()).copied().unwrap_or(0)
+        self.circuit
+            .column_masks
+            .get(v.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The tail polynomial of the gate polynomial whose leading variable is
     /// `v`, if `v` is a gate output still present in the model.
     pub fn tail(&self, v: Var) -> Option<&Polynomial> {
-        self.tails.get(&v)
+        self.tails.get(v.index()).and_then(Option::as_ref)
     }
 
     /// Replaces the tail polynomial of `v`. Used by the rewriting schemes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a variable of the model
+    /// (`v.index() >= self.var_count()`).
     pub fn set_tail(&mut self, v: Var, tail: Polynomial) {
-        self.tails.insert(v, tail);
+        self.tails[v.index()] = Some(tail);
     }
 
     /// Removes the polynomial with leading variable `v` from the model
     /// (`UpdateModel` in Algorithm 2). Returns `true` if it was present.
     pub fn remove(&mut self, v: Var) -> bool {
-        self.tails.remove(&v).is_some()
+        self.tails
+            .get_mut(v.index())
+            .and_then(Option::take)
+            .is_some()
+    }
+
+    /// The tails still present in the model.
+    fn present_tails(&self) -> impl Iterator<Item = &Polynomial> {
+        self.tails.iter().flatten()
     }
 
     /// The number of polynomials currently in the model (`#P` of Table III).
     pub fn num_polynomials(&self) -> usize {
-        self.tails.len()
+        self.present_tails().count()
     }
 
     /// The total number of monomials over all tails (`#M` of Table III,
     /// counting the implicit leading terms as well).
     pub fn num_monomials(&self) -> usize {
-        self.tails.values().map(|p| p.num_terms() + 1).sum()
+        self.present_tails().map(|p| p.num_terms() + 1).sum()
     }
 
     /// The maximum number of monomials of any polynomial (`#MP`).
     pub fn max_polynomial_terms(&self) -> usize {
-        self.tails
-            .values()
+        self.present_tails()
             .map(|p| p.num_terms() + 1)
             .max()
             .unwrap_or(0)
@@ -216,8 +284,7 @@ impl AlgebraicModel {
 
     /// The maximum number of variables in any monomial (`#VM`).
     pub fn max_monomial_vars(&self) -> usize {
-        self.tails
-            .values()
+        self.present_tails()
             .map(|p| p.max_degree())
             .max()
             .unwrap_or(0)
@@ -226,11 +293,22 @@ impl AlgebraicModel {
     /// Gate-output variables in ascending topological order, restricted to
     /// polynomials still present in the model.
     pub fn polynomial_order(&self) -> Vec<Var> {
-        self.topo_order
+        self.circuit
+            .topo_order
             .iter()
             .copied()
-            .filter(|v| self.tails.contains_key(v))
+            .filter(|&v| self.tail(v).is_some())
             .collect()
+    }
+
+    /// Every gate of the circuit as an `(output, function)` pair, in
+    /// ascending topological order, whether or not its polynomial is still
+    /// in the model.
+    pub(crate) fn gates(&self) -> impl DoubleEndedIterator<Item = (Var, &GateFunction)> {
+        self.circuit
+            .topo_order
+            .iter()
+            .filter_map(|&v| Some((v, self.circuit.gate_functions[v.index()].as_ref()?)))
     }
 
     /// The substitution order of the GB reduction: present polynomials in
@@ -245,60 +323,72 @@ impl AlgebraicModel {
 
     /// The logic level of a variable (0 for primary inputs).
     pub fn level(&self, v: Var) -> usize {
-        self.levels[v.index()]
+        self.circuit.levels[v.index()]
     }
 
     /// The number of variable slots of the model (one per net of the source
     /// netlist); variable indices are strictly below this bound. Used to size
     /// dense per-variable tables (levels, occurrence counts).
     pub fn var_count(&self) -> usize {
-        self.names.len()
+        self.tails.len()
     }
 
     /// Primary input variables in declaration order.
     pub fn inputs(&self) -> &[Var] {
-        &self.inputs
+        &self.circuit.inputs
     }
 
     /// Primary output variables in declaration order.
     pub fn outputs(&self) -> &[Var] {
-        &self.outputs
+        &self.circuit.outputs
     }
 
     /// Returns `true` if `v` is a primary input.
     #[inline]
     pub fn is_input(&self, v: Var) -> bool {
-        self.input_set.contains(&v)
+        self.circuit.is_input.get(v.index()) == Some(&true)
     }
 
     /// Returns `true` if `v` is a primary output.
     #[inline]
     pub fn is_output(&self, v: Var) -> bool {
-        self.output_set.contains(&v)
+        self.circuit.is_output.get(v.index()) == Some(&true)
     }
 
-    /// All structural gate definitions (used to build the vanishing-rule
-    /// index).
-    pub fn gate_functions(&self) -> &FastMap<Var, GateFunction> {
-        &self.gate_functions
+    /// The structural gate definition of every variable, indexed by
+    /// [`Var::index`]: `None` for primary inputs and undriven nets. The
+    /// vanishing rules are built from it.
+    pub fn gate_functions(&self) -> &[Option<GateFunction>] {
+        &self.circuit.gate_functions
+    }
+
+    /// The closure vanishing index over the circuit's gate functions: built
+    /// by the first call, then shared by every clone of the model.
+    pub(crate) fn closure_vanishing(&self) -> Arc<ClosureVanishing> {
+        Arc::clone(
+            self.circuit
+                .closure
+                .get_or_init(|| Arc::new(ClosureVanishing::new(self))),
+        )
     }
 
     /// The net name of a variable (for diagnostics).
     pub fn name(&self, v: Var) -> &str {
-        &self.names[v.index()]
+        &self.circuit.names[v.index()]
     }
 
     /// The set of variables that have fanout greater than one, plus primary
     /// inputs and outputs: the keep-set of *fanout rewriting* (MT-FO).
     pub fn fanout_keep_set(&self) -> FastSet<Var> {
         let mut set: FastSet<Var> = self
+            .circuit
             .topo_order
             .iter()
             .copied()
-            .filter(|v| self.fanout[v.index()] > 1)
+            .filter(|v| self.circuit.fanout[v.index()] > 1)
             .collect();
-        set.extend(self.inputs.iter().copied());
-        set.extend(self.outputs.iter().copied());
+        set.extend(self.inputs().iter().copied());
+        set.extend(self.outputs().iter().copied());
         set
     }
 
@@ -307,14 +397,14 @@ impl AlgebraicModel {
     /// rewriting*.
     pub fn xor_keep_set(&self) -> FastSet<Var> {
         let mut set = FastSet::default();
-        for (&out, gf) in &self.gate_functions {
+        for (out, gf) in self.gates() {
             if matches!(gf.kind, GateKind::Xor | GateKind::Xnor) {
                 set.insert(out);
                 set.extend(gf.inputs.iter().copied());
             }
         }
-        set.extend(self.inputs.iter().copied());
-        set.extend(self.outputs.iter().copied());
+        set.extend(self.inputs().iter().copied());
+        set.extend(self.outputs().iter().copied());
         set
     }
 
@@ -323,7 +413,7 @@ impl AlgebraicModel {
     /// rewriting*.
     pub fn common_keep_set(&self) -> FastSet<Var> {
         let mut counts: FastMap<Var, usize> = FastMap::default();
-        for tail in self.tails.values() {
+        for tail in self.present_tails() {
             for v in tail.vars() {
                 *counts.entry(v).or_insert(0) += 1;
             }
@@ -333,15 +423,15 @@ impl AlgebraicModel {
             .filter(|&(_, c)| c > 1)
             .map(|(v, _)| v)
             .collect();
-        set.extend(self.inputs.iter().copied());
-        set.extend(self.outputs.iter().copied());
+        set.extend(self.inputs().iter().copied());
+        set.extend(self.outputs().iter().copied());
         set
     }
 
     /// Renders a polynomial using net names, convenient for debugging and for
     /// reproducing the paper's worked examples.
     pub fn render(&self, p: &Polynomial) -> String {
-        p.display_with(|v| self.names[v.index()].clone())
+        p.display_with(|v| self.name(v).to_string())
     }
 }
 
@@ -407,6 +497,8 @@ pub(crate) fn gate_tail(kind: GateKind, inputs: &[Var]) -> Polynomial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{IndexedLogicReductionRewrite, PhaseContext, RewriteStrategy};
+    use gbmv_genmul::{build_adder, AdderKind, MultiplierSpec};
     use gbmv_netlist::Netlist;
 
     fn eval_tail(kind: GateKind, values: &[bool]) -> Int {
@@ -533,5 +625,129 @@ mod tests {
         let x = Var(nl.find_net("x").unwrap().0);
         let rendered = model.render(model.tail(x).unwrap());
         assert!(rendered.contains('a') && rendered.contains('b'));
+    }
+
+    /// Checks the one-pass extraction against the netlist's own analyses:
+    /// each column mask is the OR of `1 << min(j, 63)` over the outputs `j`
+    /// whose fan-in cone holds the variable, and each level is
+    /// `analysis::logic_levels`'s.
+    fn assert_matches_netlist_analyses(netlist: &Netlist) {
+        let model = AlgebraicModel::from_netlist(netlist).unwrap();
+        let levels = analysis::logic_levels(netlist);
+        let mut masks = vec![0u64; netlist.net_count()];
+        for (j, &(_, out)) in netlist.outputs().iter().enumerate() {
+            for net in analysis::fanin_cone(netlist, &[out]) {
+                masks[net.index()] |= 1 << j.min(63);
+            }
+        }
+        assert_eq!(model.var_count(), netlist.net_count());
+        for i in 0..netlist.net_count() {
+            let (v, name) = (Var(i as u32), netlist.net_name(NetId(i as u32)));
+            let design = netlist.name();
+            assert_eq!(model.column_mask(v), masks[i], "{design}: mask of {name}");
+            assert_eq!(model.level(v), levels[i], "{design}: level of {name}");
+        }
+    }
+
+    /// Every genmul architecture at width 4, the paper's ten at width 8,
+    /// and an adder with 70 outputs, whose masks saturate onto bit 63.
+    #[test]
+    fn one_pass_extraction_matches_the_netlist_cones_and_levels() {
+        for pp in gbmv_genmul::PartialProduct::all() {
+            for acc in gbmv_genmul::Accumulator::all() {
+                for fsa in gbmv_genmul::FinalAdder::all() {
+                    assert_matches_netlist_analyses(&MultiplierSpec::new(4, pp, acc, fsa).build());
+                }
+            }
+        }
+        for arch in [
+            "SP-AR-RC", "SP-WT-CL", "SP-RT-KS", "SP-CT-BK", "SP-DT-HC", "BP-AR-RC", "BP-WT-CL",
+            "BP-RT-KS", "BP-CT-BK", "BP-DT-HC",
+        ] {
+            assert_matches_netlist_analyses(&MultiplierSpec::parse(arch, 8).unwrap().build());
+        }
+        let wide = build_adder(69, AdderKind::KoggeStone, false);
+        assert_eq!(wide.outputs().len(), 70);
+        assert_matches_netlist_analyses(&wide);
+    }
+
+    /// A hand-built 2-bit multiplier: s0 = a0·b0, s1/s2 from the cross terms.
+    fn two_bit_multiplier() -> Netlist {
+        let mut nl = Netlist::new("mul2");
+        let a0 = nl.add_input("a0");
+        let a1 = nl.add_input("a1");
+        let b0 = nl.add_input("b0");
+        let b1 = nl.add_input("b1");
+        let p00 = nl.and2(a0, b0, "p00");
+        let p01 = nl.and2(a0, b1, "p01");
+        let p10 = nl.and2(a1, b0, "p10");
+        let p11 = nl.and2(a1, b1, "p11");
+        let s1 = nl.xor2(p01, p10, "s1");
+        let c1 = nl.and2(p01, p10, "c1");
+        let s2 = nl.xor2(p11, c1, "s2");
+        let c2 = nl.and2(p11, c1, "c2");
+        nl.add_output("s0", p00);
+        nl.add_output("s1", s1);
+        nl.add_output("s2", s2);
+        nl.add_output("s3", c2);
+        nl
+    }
+
+    #[test]
+    fn column_masks_track_output_reach() {
+        let nl = two_bit_multiplier();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let mask = |name: &str| model.column_mask(Var(nl.find_net(name).unwrap().0));
+        // p00 is the s0 output itself and feeds nothing else.
+        assert_eq!(mask("p00"), 0b0001);
+        // a0 reaches every output column: s0 directly, s1/s2/s3 via p01.
+        assert_eq!(mask("a0"), 0b1111);
+        // The first carry c1 feeds s2 and s3 only.
+        assert_eq!(mask("c1"), 0b1100);
+        // a1 misses only the lowest column.
+        assert_eq!(mask("a1"), 0b1110);
+        // A variable outside the model reaches no column.
+        assert_eq!(model.column_mask(Var(nl.net_count() as u32)), 0);
+    }
+
+    /// Clones share the circuit, closure index included, whether the index
+    /// was built before or after the clone; a rewrite of a clone changes
+    /// only the clone's tails.
+    #[test]
+    fn clones_share_the_circuit_and_copy_the_tails() {
+        let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let early = model.clone();
+        let closure = model.closure_vanishing();
+        assert!(Arc::ptr_eq(&closure, &early.closure_vanishing()));
+        let mut clone = model.clone();
+        assert!(Arc::ptr_eq(&closure, &clone.closure_vanishing()));
+        let tails = |m: &AlgebraicModel| -> Vec<Option<Polynomial>> {
+            (0..m.var_count() as u32)
+                .map(|i| m.tail(Var(i)).cloned())
+                .collect()
+        };
+        let pristine = tails(&model);
+        let stats = IndexedLogicReductionRewrite.rewrite(&mut clone, &PhaseContext::default());
+        assert_eq!(stats.stop, None);
+        assert!(stats.removed_polynomials > 0);
+        assert_ne!(tails(&clone), pristine, "the rewrite changed nothing");
+        assert_eq!(tails(&model), pristine, "the rewrite reached the original");
+        assert_eq!(tails(&early), pristine);
+        assert!(Arc::ptr_eq(&closure, &clone.closure_vanishing()));
+    }
+
+    /// The per-variable lookups a custom spec can reach answer for a
+    /// variable outside the model instead of panicking.
+    #[test]
+    fn lookups_outside_the_model_are_empty() {
+        let nl = full_adder_netlist();
+        let mut model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let ghost = Var(nl.net_count() as u32);
+        assert_eq!(model.tail(ghost), None);
+        assert!(!model.is_input(ghost));
+        assert!(!model.is_output(ghost));
+        assert_eq!(model.column_mask(ghost), 0);
+        assert!(!model.remove(ghost));
     }
 }

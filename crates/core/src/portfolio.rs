@@ -17,15 +17,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gbmv_netlist::Netlist;
-use gbmv_poly::Polynomial;
 use gbmv_sat::{check_against_product_with, EquivalenceResult};
 
 use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::ground_assignment;
 use crate::model::{AlgebraicModel, ExtractError};
-use crate::session::{run_pipeline, Outcome, Phase, Progress, RunStats, SessionError};
+use crate::session::{Outcome, Phase, RunStats, Runner, SessionError};
 use crate::spec::Spec;
-use crate::strategy::{Method, PhaseContext};
+use crate::strategy::Method;
 use crate::vanishing::VanishingRules;
 
 /// One strategy of a portfolio.
@@ -180,12 +179,20 @@ impl Portfolio {
         self
     }
 
-    fn prepared(&self) -> Result<(Spec, Polynomial, Option<u32>), SessionError> {
-        let spec = self.spec.clone().ok_or(SessionError::MissingSpec)?;
+    /// Binds the spec once for every entry of a run, after checking that
+    /// the portfolio can run at all.
+    fn runner(&self) -> Result<Runner<'_>, SessionError> {
+        let spec = self.spec.as_ref().ok_or(SessionError::MissingSpec)?;
         if self.entries.is_empty() {
             return Err(SessionError::NoStrategies);
         }
-        let (poly, modulus_bits) = spec.instantiate(&self.model)?;
+        let runner = Runner::new(
+            &self.model,
+            spec,
+            &self.budget,
+            self.rules,
+            self.counterexamples,
+        )?;
         let needs_sat = self
             .entries
             .iter()
@@ -193,51 +200,32 @@ impl Portfolio {
         if needs_sat && spec.unsigned_multiplier_width().is_none() {
             return Err(SessionError::SatBaselineUnsupported { spec: spec.name() });
         }
-        Ok((spec, poly, modulus_bits))
+        Ok(runner)
     }
 
-    fn execute(
-        &self,
-        entry: &Entry,
-        spec: &Spec,
-        spec_poly: &Polynomial,
-        modulus_bits: Option<u32>,
-        token: DeadlineToken,
-    ) -> StrategyRun {
+    fn execute(&self, entry: &Entry, runner: &Runner<'_>, token: DeadlineToken) -> StrategyRun {
         let start = Instant::now();
         let strategy = entry.name().to_string();
         match entry {
             Entry::Algebraic(method) => {
-                let ctx = PhaseContext {
-                    max_terms: self.budget.max_terms,
-                    token,
-                    rules: self.rules,
-                    modulus_bits: None,
-                    spec_weights: None,
-                };
-                let mut noop = |_: &Progress| {};
-                let report = run_pipeline(
-                    strategy.clone(),
-                    &self.model,
-                    spec_poly,
-                    modulus_bits,
+                let (outcome, stats) = runner.run(
                     method.rewrite_strategy().as_ref(),
                     method.reduction_strategy().as_ref(),
-                    &ctx,
-                    self.counterexamples.then_some(spec),
-                    &mut noop,
+                    token,
+                    &mut |_| {},
                 );
                 StrategyRun {
                     strategy,
-                    outcome: report.outcome,
-                    stats: Some(report.stats),
+                    outcome,
+                    stats: Some(stats),
                     elapsed: start.elapsed(),
                 }
             }
             Entry::SatMiter { conflict_budget } => {
+                let spec = runner.spec();
                 let width = spec
                     .unsigned_multiplier_width()
-                    .expect("validated by prepared()");
+                    .expect("validated by runner()");
                 let result =
                     check_against_product_with(&self.netlist, width, *conflict_budget, &|| {
                         token.expired()
@@ -272,11 +260,11 @@ impl Portfolio {
     /// (each with its own deadline token). The report's winner is the fastest
     /// strategy with a definitive verdict.
     pub fn run_all(&self) -> Result<PortfolioReport, SessionError> {
-        let (spec, spec_poly, modulus_bits) = self.prepared()?;
+        let runner = self.runner()?;
         let runs: Vec<StrategyRun> = self
             .entries
             .iter()
-            .map(|entry| self.execute(entry, &spec, &spec_poly, modulus_bits, self.budget.token()))
+            .map(|entry| self.execute(entry, &runner, self.budget.token()))
             .collect();
         let winner = runs
             .iter()
@@ -292,18 +280,17 @@ impl Portfolio {
     /// [`Outcome::Cancelled`]. The report's winner is the first strategy to
     /// finish with a definitive verdict.
     pub fn race(&self) -> Result<PortfolioReport, SessionError> {
-        let (spec, spec_poly, modulus_bits) = self.prepared()?;
+        let runner = self.runner()?;
         let token = self.budget.token();
         let slots: Vec<Mutex<Option<(StrategyRun, Instant)>>> =
             self.entries.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for (entry, slot) in self.entries.iter().zip(&slots) {
                 let token = token.clone();
-                let spec = &spec;
-                let spec_poly = &spec_poly;
+                let runner = &runner;
                 let this = &*self;
                 scope.spawn(move || {
-                    let run = this.execute(entry, spec, spec_poly, modulus_bits, token.clone());
+                    let run = this.execute(entry, runner, token.clone());
                     if run.outcome.is_definitive() {
                         token.cancel();
                     }

@@ -28,9 +28,11 @@
 //! [`crate::PhaseContext`] alone, and report a [`crate::PhaseStats`]. This
 //! module also holds the spec weights of a run ([`spec_weights`]).
 
+use std::sync::Arc;
+
 use gbmv_poly::{FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
 
-use crate::model::{AlgebraicModel, GateFunction};
+use crate::model::AlgebraicModel;
 use crate::strategy::{PhaseContext, PhaseStats, Stop};
 use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
 
@@ -64,12 +66,9 @@ pub fn spec_weights(model: &AlgebraicModel, spec: &Polynomial, k: u32) -> Vec<u3
             }
         }
     }
-    // Logic levels strictly increase along every gate edge, so descending
-    // level is a reverse-topological order: each gate's weight is final
-    // before it propagates to the gate's inputs.
-    let mut gates: Vec<(&Var, &GateFunction)> = model.gate_functions().iter().collect();
-    gates.sort_unstable_by_key(|&(&v, _)| std::cmp::Reverse(model.level(v)));
-    for (&v, gate) in gates {
+    // In reverse topological order each gate's weight is final before it
+    // propagates to the gate's inputs.
+    for (v, gate) in model.gates().rev() {
         let w = weights[v.index()];
         for u in &gate.inputs {
             weights[u.index()] = weights[u.index()].min(w);
@@ -200,8 +199,10 @@ pub(crate) enum RewriteVanishing {
     /// The unit-propagation closure ([`VanishingRules::Closure`], the
     /// presets' default), with its query scratch. Cancels strictly more
     /// monomials than the tracker's patterns, trading byte-identity for the
-    /// term-growth headroom that opens width 16+.
-    Closure(ClosureVanishing, VanishScratch),
+    /// term-growth headroom that opens width 16+. The index is the model's
+    /// own, shared by both phases and every run, so Step 2 can rewrite the
+    /// model while holding it.
+    Closure(Arc<ClosureVanishing>, VanishScratch),
 }
 
 impl RewriteVanishing {
@@ -213,7 +214,7 @@ impl RewriteVanishing {
             VanishingRules::Off => None,
             VanishingRules::XorAnd => Some(Self::Tracker(VanishingTracker::new(model))),
             VanishingRules::Closure => {
-                let closure = ClosureVanishing::new(model);
+                let closure = model.closure_vanishing();
                 let scratch = closure.scratch();
                 Some(Self::Closure(closure, scratch))
             }
@@ -415,7 +416,7 @@ pub(crate) fn gb_rewrite_indexed(
     let order = model.polynomial_order();
     // Suffix unions of the output-column masks over the pass order: column
     // `j` retires once the pass moves past the last polynomial whose
-    // backward cone reaches output `j` — see `cone::output_column_masks`.
+    // backward cone reaches output `j` — see `AlgebraicModel::column_mask`.
     let mut suffix = vec![0u64; order.len() + 1];
     for i in (0..order.len()).rev() {
         suffix[i] = suffix[i + 1] | model.column_mask(order[i]);

@@ -259,116 +259,159 @@ fn timed<T>(
     (result, elapsed)
 }
 
-/// The shared verification pipeline: Step 2 (rewriting) on a clone of the
-/// model, Steps 3/4 (reduction and the zero test), then, with `cex_spec`,
-/// the counterexample search, which grounds a found assignment on the
-/// pristine `base` model and `cex_spec`. Used by [`Session::run`] and the
-/// [`crate::Portfolio`] entries.
-///
-/// This is the one clock of a phase: it sets each phase's
-/// [`PhaseStats::elapsed`] to the time it reports in
-/// [`Progress::PhaseFinished`]. It is also the one place where a phase's
-/// [`Stop`] becomes an [`Outcome`], the same for both phases:
-///
-/// * [`Stop::Terms`] is `ResourceLimit { phase }`, even when the token was
-///   cancelled in the meantime: a race loser must not mask a blow-up as a
-///   cancellation;
-/// * [`Stop::Token`] is [`Outcome::Cancelled`] after an explicit cancel and
-///   `ResourceLimit { phase }` after a passed deadline, as the token tells.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by Session and Portfolio
-pub(crate) fn run_pipeline(
-    strategy_name: String,
-    base: &AlgebraicModel,
-    spec_poly: &Polynomial,
+/// The one runner behind [`Session::run`] and the algebraic entries of a
+/// [`crate::Portfolio`]: a pristine model, a [`Spec`] bound to it once (its
+/// polynomial, the modulus of its zero test and, with a modulus, the spec
+/// weights of Step 2) and the settings every run's [`PhaseContext`] is
+/// built from. A session binds one per run; a portfolio binds one per
+/// [`crate::Portfolio::run_all`] or [`crate::Portfolio::race`] and shares it
+/// between its entries, whose runs differ only in their token.
+pub(crate) struct Runner<'a> {
+    model: &'a AlgebraicModel,
+    spec: &'a Spec,
+    spec_poly: Polynomial,
     modulus_bits: Option<u32>,
-    rewrite: &dyn RewriteStrategy,
-    reduction: &dyn ReductionStrategy,
-    ctx: &PhaseContext,
-    cex_spec: Option<&Spec>,
-    observer: &mut dyn FnMut(&Progress),
-) -> Report {
-    let start = Instant::now();
-    let mut stats = RunStats::default();
-    let mut model = base.clone();
-    // Install the run's modulus and spec weights into the context, the one
-    // channel through which both phases' strategies read them.
-    let ctx = &PhaseContext {
-        modulus_bits,
-        spec_weights: modulus_bits.map(|k| spec_weights(base, spec_poly, k)),
-        ..ctx.clone()
-    };
-    let stopped = |stop: Stop, phase: Phase| match stop {
-        Stop::Token if ctx.token.is_cancelled() => Outcome::Cancelled,
-        Stop::Terms | Stop::Token => Outcome::ResourceLimit { phase },
-    };
+    spec_weights: Option<Vec<u32>>,
+    max_terms: usize,
+    rules: VanishingRules,
+    counterexamples: bool,
+}
 
-    let outcome = 'run: {
-        let (rewrite_stats, elapsed) = timed(observer, Phase::Rewrite, || {
-            rewrite.rewrite(&mut model, ctx)
-        });
-        stats.rewrite = PhaseStats {
-            elapsed,
-            ..rewrite_stats
+impl<'a> Runner<'a> {
+    /// Binds `spec` to `model`; fails when the spec does not fit the
+    /// model's interface.
+    pub(crate) fn new(
+        model: &'a AlgebraicModel,
+        spec: &'a Spec,
+        budget: &Budget,
+        rules: VanishingRules,
+        counterexamples: bool,
+    ) -> Result<Self, SpecError> {
+        let (spec_poly, modulus_bits) = spec.instantiate(model)?;
+        let spec_weights = modulus_bits.map(|k| spec_weights(model, &spec_poly, k));
+        Ok(Runner {
+            model,
+            spec,
+            spec_poly,
+            modulus_bits,
+            spec_weights,
+            max_terms: budget.max_terms,
+            rules,
+            counterexamples,
+        })
+    }
+
+    /// The bound specification.
+    pub(crate) fn spec(&self) -> &Spec {
+        self.spec
+    }
+
+    /// Runs one strategy pair: Step 2 (rewriting) on a clone of the model,
+    /// which copies only its tails, Steps 3/4 (reduction and the zero test),
+    /// then, if counterexamples are on, the counterexample search, which
+    /// grounds a found assignment on the pristine model and the spec.
+    ///
+    /// This is the one place a [`PhaseContext`] is built, and the one clock
+    /// of a phase: it sets each phase's [`PhaseStats::elapsed`] to the time
+    /// it reports in [`Progress::PhaseFinished`]. It is also the one place
+    /// where a phase's [`Stop`] becomes an [`Outcome`], the same for both
+    /// phases:
+    ///
+    /// * [`Stop::Terms`] is `ResourceLimit { phase }`, even when the token
+    ///   was cancelled in the meantime: a race loser must not mask a blow-up
+    ///   as a cancellation;
+    /// * [`Stop::Token`] is [`Outcome::Cancelled`] after an explicit cancel
+    ///   and `ResourceLimit { phase }` after a passed deadline, as the token
+    ///   tells.
+    pub(crate) fn run(
+        &self,
+        rewrite: &dyn RewriteStrategy,
+        reduction: &dyn ReductionStrategy,
+        token: DeadlineToken,
+        observer: &mut dyn FnMut(&Progress),
+    ) -> (Outcome, RunStats) {
+        let start = Instant::now();
+        let mut stats = RunStats::default();
+        let mut model = self.model.clone();
+        let ctx = &PhaseContext {
+            max_terms: self.max_terms,
+            token,
+            rules: self.rules,
+            modulus_bits: self.modulus_bits,
+            spec_weights: self.spec_weights.clone(),
         };
-        if stats.rewrite.index_hits > 0 {
-            observer(&Progress::RewriteIndexStats {
-                peak_terms: stats.rewrite.peak_terms,
-                index_hits: stats.rewrite.index_hits,
-                columns_retired: stats.rewrite.columns_retired,
+        let stopped = |stop: Stop, phase: Phase| match stop {
+            Stop::Token if ctx.token.is_cancelled() => Outcome::Cancelled,
+            Stop::Terms | Stop::Token => Outcome::ResourceLimit { phase },
+        };
+
+        let outcome = 'run: {
+            let (rewrite_stats, elapsed) = timed(observer, Phase::Rewrite, || {
+                rewrite.rewrite(&mut model, ctx)
             });
-        }
-        stats.model_polynomials = model.num_polynomials();
-        stats.model_monomials = model.num_monomials();
-        stats.max_polynomial_terms = model.max_polynomial_terms();
-        stats.max_monomial_vars = model.max_monomial_vars();
-        if let Some(stop) = stats.rewrite.stop {
-            break 'run stopped(stop, Phase::Rewrite);
-        }
+            stats.rewrite = PhaseStats {
+                elapsed,
+                ..rewrite_stats
+            };
+            if stats.rewrite.index_hits > 0 {
+                observer(&Progress::RewriteIndexStats {
+                    peak_terms: stats.rewrite.peak_terms,
+                    index_hits: stats.rewrite.index_hits,
+                    columns_retired: stats.rewrite.columns_retired,
+                });
+            }
+            stats.model_polynomials = model.num_polynomials();
+            stats.model_monomials = model.num_monomials();
+            stats.max_polynomial_terms = model.max_polynomial_terms();
+            stats.max_monomial_vars = model.max_monomial_vars();
+            if let Some(stop) = stats.rewrite.stop {
+                break 'run stopped(stop, Phase::Rewrite);
+            }
 
-        let ((remainder, reduction_stats), elapsed) = timed(observer, Phase::Reduce, || {
-            reduction.reduce(&model, spec_poly, ctx)
-        });
-        stats.reduction = PhaseStats {
-            elapsed,
-            ..reduction_stats
-        };
-        if let Some(stop) = stats.reduction.stop {
-            break 'run stopped(stop, Phase::Reduce);
-        }
+            let ((remainder, reduction_stats), elapsed) = timed(observer, Phase::Reduce, || {
+                reduction.reduce(&model, &self.spec_poly, ctx)
+            });
+            stats.reduction = PhaseStats {
+                elapsed,
+                ..reduction_stats
+            };
+            if let Some(stop) = stats.reduction.stop {
+                break 'run stopped(stop, Phase::Reduce);
+            }
 
-        // Canonicalize the remainder modulo 2^k (not just drop zero terms):
-        // the fully reduced remainder is the unique multilinear normal form
-        // of the spec over the primary inputs, but engines that drop
-        // 2^k-multiples differently (the scan engine keeps exact
-        // coefficients, the indexed one stores canonical residues) can end
-        // with coefficients differing by multiples of 2^k. Reducing every
-        // coefficient into [0, 2^k) makes the reported remainder — and
-        // therefore the counterexample search — bit-identical across
-        // reduction strategies.
-        let remainder = match modulus_bits {
-            Some(k) => remainder.mod_coeffs_pow2(k),
-            None => remainder,
+            // Canonicalize the remainder modulo 2^k (not just drop zero
+            // terms): the fully reduced remainder is the unique multilinear
+            // normal form of the spec over the primary inputs, but engines
+            // that drop 2^k-multiples differently (the scan engine keeps
+            // exact coefficients, the indexed one stores canonical residues)
+            // can end with coefficients differing by multiples of 2^k.
+            // Reducing every coefficient into [0, 2^k) makes the reported
+            // remainder — and therefore the counterexample search —
+            // bit-identical across reduction strategies.
+            let remainder = match self.modulus_bits {
+                Some(k) => remainder.mod_coeffs_pow2(k),
+                None => remainder,
+            };
+            if remainder.is_zero() {
+                break 'run Outcome::Verified;
+            }
+            let counterexample = self
+                .counterexamples
+                .then(|| {
+                    timed(observer, Phase::Counterexample, || {
+                        find_assignment(self.model, &remainder, self.modulus_bits)
+                            .map(|values| ground_assignment(self.model, self.spec, &values))
+                    })
+                    .0
+                })
+                .flatten();
+            Outcome::Mismatch {
+                remainder_terms: remainder.num_terms(),
+                counterexample,
+            }
         };
-        if remainder.is_zero() {
-            break 'run Outcome::Verified;
-        }
-        let counterexample = cex_spec.and_then(|spec| {
-            timed(observer, Phase::Counterexample, || {
-                find_assignment(base, &remainder, modulus_bits)
-                    .map(|values| ground_assignment(base, spec, &values))
-            })
-            .0
-        });
-        Outcome::Mismatch {
-            remainder_terms: remainder.num_terms(),
-            counterexample,
-        }
-    };
-    stats.total_time = start.elapsed();
-    Report {
-        strategy: strategy_name,
-        outcome,
-        stats,
+        stats.total_time = start.elapsed();
+        (outcome, stats)
     }
 }
 
@@ -510,36 +553,34 @@ impl Session {
     /// interface. Resource exhaustion and cancellation are *outcomes*
     /// ([`Outcome::ResourceLimit`], [`Outcome::Cancelled`]), not errors.
     pub fn run(&mut self) -> Result<Report, SessionError> {
-        let spec = self.spec.clone().ok_or(SessionError::MissingSpec)?;
-        let (spec_poly, modulus_bits) = spec.instantiate(&self.model)?;
-        let strategy_name = self.strategy_name();
+        let spec = self.spec.as_ref().ok_or(SessionError::MissingSpec)?;
+        let runner = Runner::new(
+            &self.model,
+            spec,
+            &self.budget,
+            self.rules,
+            self.counterexamples,
+        )?;
         let token = match &self.token {
             Some(token) => token.clone(),
             None => self.budget.token(),
-        };
-        let ctx = PhaseContext {
-            max_terms: self.budget.max_terms,
-            token,
-            rules: self.rules,
-            modulus_bits: None,
-            spec_weights: None,
         };
         let mut noop = |_: &Progress| {};
         let observer: &mut dyn FnMut(&Progress) = match &mut self.observer {
             Some(observer) => observer.as_mut(),
             None => &mut noop,
         };
-        Ok(run_pipeline(
-            strategy_name,
-            &self.model,
-            &spec_poly,
-            modulus_bits,
+        let (outcome, stats) = runner.run(
             self.rewrite.as_ref(),
             self.reduction.as_ref(),
-            &ctx,
-            self.counterexamples.then_some(&spec),
+            token,
             observer,
-        ))
+        );
+        Ok(Report {
+            strategy: self.strategy_name(),
+            outcome,
+            stats,
+        })
     }
 }
 
@@ -970,5 +1011,40 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.outcome.is_verified(), "{:?}", report.outcome);
+    }
+
+    /// A custom spec that names a variable the netlist lacks is a mismatch
+    /// under every method, with and without a modulus, never a panic: the
+    /// model's per-variable lookups are bounds-checked.
+    #[test]
+    fn spec_naming_a_variable_outside_the_model_is_a_mismatch() {
+        use gbmv_poly::{Int, Monomial, Var};
+        let mut nl = gbmv_netlist::Netlist::new("and");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let z = nl.and2(a, b, "z");
+        nl.add_output("z", z);
+        let ghost = Var(nl.net_count() as u32 + 3);
+        let poly = Polynomial::from_terms(vec![
+            (Monomial::var(Var(z.0)), Int::from(-1)),
+            (Monomial::from_vars(vec![Var(a.0), Var(b.0)]), Int::one()),
+            (Monomial::from_vars(vec![Var(a.0), ghost]), Int::one()),
+        ]);
+        for modulus in [None, Some(4)] {
+            for method in Method::all() {
+                let spec = Spec::polynomial("ghost", poly.clone()).with_modulus_bits(modulus);
+                let report = Session::extract(&nl)
+                    .unwrap()
+                    .spec(spec)
+                    .strategy(method)
+                    .run()
+                    .unwrap();
+                assert!(
+                    report.outcome.is_mismatch(),
+                    "{method} mod {modulus:?}: {:?}",
+                    report.outcome
+                );
+            }
+        }
     }
 }

@@ -57,9 +57,9 @@ enum SpecKind {
 #[derive(Debug, Clone)]
 pub struct Spec {
     kind: SpecKind,
-    /// `Some(k)`: check the remainder modulo `2^k`; `None`: exact. Default
-    /// derived from the kind, overridable with [`Spec::with_modulus_bits`].
-    modulus_override: Option<Option<u32>>,
+    /// `Some(k)`: check the remainder modulo `2^k`; `None`: exact. Each
+    /// constructor sets it; [`Spec::with_modulus_bits`] overwrites it.
+    modulus_bits: Option<u32>,
 }
 
 impl Spec {
@@ -68,7 +68,7 @@ impl Spec {
     pub fn multiplier(width: usize) -> Spec {
         Spec {
             kind: SpecKind::UnsignedMultiplier { width },
-            modulus_override: None,
+            modulus_bits: Some(2 * width as u32),
         }
     }
 
@@ -78,7 +78,7 @@ impl Spec {
     pub fn signed_multiplier(width: usize) -> Spec {
         Spec {
             kind: SpecKind::SignedMultiplier { width },
-            modulus_override: None,
+            modulus_bits: Some(2 * width as u32),
         }
     }
 
@@ -90,7 +90,7 @@ impl Spec {
                 width,
                 carry_in: false,
             },
-            modulus_override: None,
+            modulus_bits: None,
         }
     }
 
@@ -101,7 +101,7 @@ impl Spec {
                 width,
                 carry_in: true,
             },
-            modulus_override: None,
+            modulus_bits: None,
         }
     }
 
@@ -114,7 +114,7 @@ impl Spec {
                 name: name.into(),
                 poly,
             },
-            modulus_override: Some(None),
+            modulus_bits: None,
         }
     }
 
@@ -123,7 +123,7 @@ impl Spec {
     /// `2^(2*width)` for multipliers and exact for adders and custom
     /// polynomials.
     pub fn with_modulus_bits(mut self, bits: Option<u32>) -> Spec {
-        self.modulus_override = Some(bits);
+        self.modulus_bits = bits;
         self
     }
 
@@ -151,16 +151,7 @@ impl Spec {
     /// The modulus of the zero test for this specification (see
     /// [`Spec::with_modulus_bits`]).
     pub fn modulus_bits(&self) -> Option<u32> {
-        if let Some(over) = self.modulus_override {
-            return over;
-        }
-        match self.kind {
-            SpecKind::UnsignedMultiplier { width } | SpecKind::SignedMultiplier { width } => {
-                Some(2 * width as u32)
-            }
-            SpecKind::Adder { .. } => None,
-            SpecKind::Custom { .. } => None,
-        }
+        self.modulus_bits
     }
 
     /// Binds the specification to a concrete model, producing the

@@ -1,7 +1,7 @@
 use gbmv_netlist::GateKind;
 use gbmv_poly::{FastMap, Monomial, Polynomial, Var};
 
-use crate::model::AlgebraicModel;
+use crate::model::{AlgebraicModel, GateFunction};
 
 /// Which structural vanishing rule the engines apply: logic reduction off,
 /// the paper's XOR-AND rule, or its unit-propagation closure.
@@ -52,7 +52,7 @@ impl VanishingTracker {
     pub fn new(model: &AlgebraicModel) -> Self {
         let mut and_outputs: FastMap<(Var, Var), Vec<Var>> = FastMap::default();
         let mut xor_inputs = FastMap::default();
-        for (&out, gf) in model.gate_functions() {
+        for (out, gf) in model.gates() {
             if gf.inputs.len() != 2 {
                 continue;
             }
@@ -182,12 +182,15 @@ impl VanishScratch {
 
 impl ClosureVanishing {
     /// Builds the index from the structural gate information of a model.
+    /// The indexed engines do not build their own: they share the one index
+    /// a model builds with this on first use, which every clone of the model
+    /// shares too.
     pub fn new(model: &AlgebraicModel) -> Self {
         let var_count = model.var_count();
         let gfs = model.gate_functions();
         let mut xor_pair = vec![None; var_count];
         let mut xnor_pair = vec![None; var_count];
-        for (&out, gf) in gfs {
+        for (out, gf) in model.gates() {
             if gf.inputs.len() == 2 {
                 let pair = (gf.inputs[0], gf.inputs[1]);
                 match gf.kind {
@@ -335,10 +338,7 @@ enum Epoch {
 /// variables forced to 1 and to 0, and whether the assumption is
 /// self-contradictory. Derived facts propagate to a fixpoint, with XOR/XNOR
 /// gates re-examined as their input values become known.
-fn closure_of(
-    gfs: &FastMap<Var, crate::model::GateFunction>,
-    seed: Var,
-) -> (Vec<Var>, Vec<Var>, bool) {
+fn closure_of(gfs: &[Option<GateFunction>], seed: Var) -> (Vec<Var>, Vec<Var>, bool) {
     let mut pos = vec![seed];
     let mut neg: Vec<Var> = Vec::new();
     let mut contradiction = false;
@@ -370,7 +370,7 @@ fn closure_of(
             if contradiction {
                 return (pos, neg, true);
             }
-            let Some(gf) = gfs.get(&u) else { continue };
+            let Some(gf) = &gfs[u.index()] else { continue };
             match (gf.kind, val) {
                 (GateKind::And, true) | (GateKind::Nand, false) | (GateKind::Buf, true) => {
                     for &i in &gf.inputs {
@@ -423,7 +423,7 @@ fn closure_of(
         let mut derived: Vec<(Var, bool)> = Vec::new();
         for (facts, out_val) in [(&pos, true), (&neg, false)] {
             for &u in facts.iter() {
-                let Some(gf) = gfs.get(&u) else { continue };
+                let Some(gf) = &gfs[u.index()] else { continue };
                 if gf.inputs.len() != 2 {
                     continue;
                 }

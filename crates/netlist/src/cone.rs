@@ -12,9 +12,10 @@
 //! genuinely independent output clusters (bit-sliced logic, side-by-side
 //! units) split into separate groups. On the generated multipliers (all 50
 //! architectures, checked at widths 4, 8 and 16) every output cone merges
-//! into one group, so the verifier reduces the whole specification at once;
-//! it uses this module for the per-net output-column masks that drive
-//! column retirement ([`output_column_masks`]).
+//! into one group, so the verifier reduces the whole specification at once
+//! and does not call this module. The per-net output-column masks that
+//! drive its column retirement come from one reverse-topological pass
+//! during model extraction (`AlgebraicModel::column_mask` in `gbmv_core`).
 //!
 //! The grouping core ([`group_overlapping_cones`]) is expressed over plain
 //! index sets, so it applies to any numbering of the nets.
@@ -90,26 +91,6 @@ pub fn group_overlapping_cones(cones: &[Vec<u32>], merge_overlap: f64) -> Vec<Ve
         }
     }
     groups
-}
-
-/// Per-net output-column support masks: bit `min(j, 63)` of `masks[net.0]`
-/// is set exactly when `net` lies in the backward (fan-in) cone of primary
-/// output `j` (in declaration order, which for the generated multipliers is
-/// ascending column weight). Outputs beyond 63 saturate onto bit 63.
-///
-/// The indexed reduction engines use the masks two ways: the substitution
-/// order prefers nets that only reach low output columns (their terms retire
-/// into the input-only accumulator sooner), and a column counts as *retired*
-/// once every tracked net carrying its bit has been substituted.
-pub fn output_column_masks(netlist: &Netlist) -> Vec<u64> {
-    let mut masks = vec![0u64; netlist.net_count()];
-    for (j, &(_, out)) in netlist.outputs().iter().enumerate() {
-        let bit = 1u64 << j.min(63);
-        for net in fanin_cone(netlist, &[out]) {
-            masks[net.0 as usize] |= bit;
-        }
-    }
-    masks
 }
 
 /// Decomposes a netlist into per-output backward cones, merging cones that
@@ -210,26 +191,6 @@ mod tests {
         assert!(!s2_nets.contains(&"p00".to_string()), "{s2_nets:?}");
         // The cross partial products are shared between s1/s2/s3 cones.
         assert!(d.shared.iter().any(|&n| name(n) == "p01"));
-    }
-
-    #[test]
-    fn column_masks_track_output_reach() {
-        let nl = two_bit_multiplier();
-        let masks = output_column_masks(&nl);
-        let find = |name: &str| {
-            (0..nl.net_count())
-                .map(|i| NetId(i as u32))
-                .find(|&n| nl.net_name(n) == name)
-                .unwrap()
-        };
-        // p00 is the s0 output itself and feeds nothing else.
-        assert_eq!(masks[find("p00").0 as usize], 0b0001);
-        // a0 reaches every output column: s0 directly, s1/s2/s3 via p01.
-        assert_eq!(masks[find("a0").0 as usize], 0b1111);
-        // The first carry c1 feeds s2 and s3 only.
-        assert_eq!(masks[find("c1").0 as usize], 0b1100);
-        // a1 misses only the lowest column.
-        assert_eq!(masks[find("a1").0 as usize], 0b1110);
     }
 
     #[test]
