@@ -3,7 +3,7 @@ use std::sync::{Arc, OnceLock};
 use gbmv_netlist::{analysis, GateKind, NetId, Netlist};
 use gbmv_poly::{FastMap, FastSet, Int, Monomial, Polynomial, Var};
 
-use crate::vanishing::ClosureVanishing;
+use crate::vanishing::{ClosureVanishing, VanishingTracker};
 
 /// Why model extraction (Step 1 of the MT algorithm) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +78,9 @@ struct Circuit {
     /// The closure vanishing index over the gate functions, built on first
     /// use and then shared by every phase of every run.
     closure: OnceLock<Arc<ClosureVanishing>>,
+    /// The XOR-AND pattern tracker over the gate functions, built and
+    /// shared the same way.
+    tracker: OnceLock<Arc<VanishingTracker>>,
 }
 
 /// The algebraic (Gröbner basis) model of a circuit.
@@ -183,6 +186,7 @@ impl AlgebraicModel {
             column_masks,
             names,
             closure: OnceLock::new(),
+            tracker: OnceLock::new(),
         };
         Ok(AlgebraicModel {
             circuit: Arc::new(circuit),
@@ -321,9 +325,10 @@ impl AlgebraicModel {
         order
     }
 
-    /// The logic level of a variable (0 for primary inputs).
+    /// The logic level of a variable (0 for primary inputs and for
+    /// variables outside the model).
     pub fn level(&self, v: Var) -> usize {
-        self.circuit.levels[v.index()]
+        self.circuit.levels.get(v.index()).copied().unwrap_or(0)
     }
 
     /// The number of variable slots of the model (one per net of the source
@@ -372,9 +377,24 @@ impl AlgebraicModel {
         )
     }
 
-    /// The net name of a variable (for diagnostics).
+    /// The XOR-AND pattern tracker over the circuit's gate functions: built
+    /// by the first call, then shared by every clone of the model, so the
+    /// two phases of a run build it once.
+    pub(crate) fn vanishing_tracker(&self) -> Arc<VanishingTracker> {
+        Arc::clone(
+            self.circuit
+                .tracker
+                .get_or_init(|| Arc::new(VanishingTracker::new(self))),
+        )
+    }
+
+    /// The net name of a variable (for diagnostics), or `"<outside the
+    /// model>"` for a variable outside the model.
     pub fn name(&self, v: Var) -> &str {
-        &self.circuit.names[v.index()]
+        self.circuit
+            .names
+            .get(v.index())
+            .map_or("<outside the model>", String::as_str)
     }
 
     /// The set of variables that have fanout greater than one, plus primary
@@ -429,9 +449,13 @@ impl AlgebraicModel {
     }
 
     /// Renders a polynomial using net names, convenient for debugging and for
-    /// reproducing the paper's worked examples.
+    /// reproducing the paper's worked examples. A variable outside the model
+    /// prints as [`Var`]'s own `x<index>`.
     pub fn render(&self, p: &Polynomial) -> String {
-        p.display_with(|v| self.name(v).to_string())
+        p.display_with(|v| match self.circuit.names.get(v.index()) {
+            Some(name) => name.clone(),
+            None => v.to_string(),
+        })
     }
 }
 
@@ -748,6 +772,24 @@ mod tests {
         assert!(!model.is_input(ghost));
         assert!(!model.is_output(ghost));
         assert_eq!(model.column_mask(ghost), 0);
+        assert_eq!(model.level(ghost), 0);
+        assert_eq!(model.name(ghost), "<outside the model>");
+        let a = Var(nl.find_net("a").unwrap().0);
+        let p = Polynomial::from_terms(vec![(Monomial::from_vars([a, ghost]), Int::one())]);
+        assert_eq!(model.render(&p), format!("a*{ghost}"));
         assert!(!model.remove(ghost));
+    }
+
+    /// Clones share one vanishing tracker, built on first use, whether they
+    /// were made before or after it.
+    #[test]
+    fn clones_share_one_vanishing_tracker() {
+        let nl = MultiplierSpec::parse("SP-WT-BK", 4).unwrap().build();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let early = model.clone();
+        let tracker = model.vanishing_tracker();
+        assert!(Arc::ptr_eq(&tracker, &model.vanishing_tracker()));
+        assert!(Arc::ptr_eq(&tracker, &early.vanishing_tracker()));
+        assert!(Arc::ptr_eq(&tracker, &model.clone().vanishing_tracker()));
     }
 }

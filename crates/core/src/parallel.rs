@@ -11,13 +11,21 @@
 //!   rank is its logic level plus one, and the candidate rule always picks
 //!   from the highest level present, so a term is indexed only under its
 //!   highest-level variables.
+//! * The tracked variables are bucketed by logic level once per run, and
+//!   each step scans only the bucket of the highest level that still has
+//!   occurrences. That level never rises, since tails mention only lower
+//!   levels, so choosing a candidate costs the width of one level, not the
+//!   model's variable count.
 //! * Coefficients are kept canonical `mod 2^k`, so modular cancellation
 //!   happens at insert instead of in a post-step sweep.
 //! * Terms whose support is fully substituted retire into an input-only
 //!   accumulator (the incremental form of column-wise spec reduction: once no
 //!   live term mentions a tracked variable reaching an output column, that
 //!   column's terms never re-enter the hot path). Greedy ties break toward
-//!   the lowest output column, so low columns retire early.
+//!   the lowest output column, so low columns retire early. Retired columns
+//!   are counted from the store's presence log: per column, the number of
+//!   present tracked variables reaching it, updated once per step for the
+//!   variables whose presence changed.
 //! * Vanishing is checked on newly created monomials only, through the
 //!   predicate of the run's [`crate::VanishingRules`]: by default the
 //!   unit-propagation closure index ([`crate::ClosureVanishing`]), which
@@ -72,21 +80,24 @@ impl ReductionStrategy for ParallelReduction {
         }
 
         // The substitutable variables: everything with a model tail, ranked
-        // by logic level plus one. The candidate rule below always drains a
-        // variable of the highest level present, which is the store's drain
-        // contract. Inputs and tail-less variables are never substituted
-        // (rank 0), so terms made only of those retire out of the indexed
-        // hot path.
-        let ranks: Vec<u32> = (0..model.var_count())
-            .map(|i| {
-                let v = Var(i as u32);
-                if !model.is_input(v) && model.tail(v).is_some() {
-                    model.level(v) as u32 + 1
-                } else {
-                    0
+        // by logic level plus one and bucketed by level. The candidate rule
+        // below always drains a variable of the highest level present, which
+        // is the store's drain contract. Inputs and tail-less variables are
+        // never substituted (rank 0), so terms made only of those retire out
+        // of the indexed hot path.
+        let mut ranks = vec![0; model.var_count()];
+        let mut levels: Vec<Vec<Var>> = Vec::new();
+        for (i, rank) in ranks.iter_mut().enumerate() {
+            let v = Var(i as u32);
+            if !model.is_input(v) && model.tail(v).is_some() {
+                let level = model.level(v);
+                *rank = level as u32 + 1;
+                if levels.len() <= level {
+                    levels.resize_with(level + 1, Vec::new);
                 }
-            })
-            .collect();
+                levels[level].push(v);
+            }
+        }
 
         // Ingest into the indexed store: coefficients become canonical
         // `mod 2^k` (multiples of `2^k` cancel at insert — the incremental
@@ -96,19 +107,14 @@ impl ReductionStrategy for ParallelReduction {
         drop(initial);
         stats.peak_terms = r.num_terms();
 
-        // Column retirement accounting: a column is "active" while some live
-        // term mentions a tracked variable reaching it, and "retires" when it
-        // loses its last such occurrence — from then on all of its terms are
-        // input-only and sit in the inert accumulator, outside the indexed
-        // hot path. The active mask is recomputed during the candidate scan
-        // (which already walks every occurrence count).
-        let mut active_cols = 0u64;
-        for (i, &occ) in r.occurrence_counts().iter().enumerate() {
-            if occ > 0 {
-                active_cols |= model.column_mask(Var(i as u32));
-            }
-        }
-        let mut retired_cols = 0u64;
+        let mut columns = Columns {
+            carriers: [0; 64],
+            active: 0,
+            retired: 0,
+        };
+        // No level at or above `top` holds an occurring variable. Tails
+        // mention only lower levels, so `top` never rises.
+        let mut top = levels.len();
         let mut since_poll = 0usize;
 
         stats.stop = loop {
@@ -117,45 +123,34 @@ impl ReductionStrategy for ParallelReduction {
             if r.num_terms() > ctx.max_terms {
                 break Some(Stop::Terms);
             }
+            stats.columns_retired += columns.update(&mut r, model);
             // Candidate selection — the same rule as `GreedyReduction`: among the
             // variables of the highest present logic level, the smallest
             // estimated growth `occurrences x (tail size - 1)`, tie-broken by
             // variable index — except that the highest output column a
             // variable reaches ranks before the growth estimate. Any order
             // yields the same final remainder: the rewritten model stays a
-            // Gröbner basis, so the normal form is order-independent.
-            let mut best: Option<(usize, u32, usize, u32)> = None; // (level, colw, growth, idx)
-            let mut next_active = 0u64;
-            for (i, &occ) in r.occurrence_counts().iter().enumerate() {
-                if occ == 0 {
-                    continue;
-                }
-                let v = Var(i as u32);
-                let level = model.level(v);
-                let mask = model.column_mask(v);
-                next_active |= mask;
-                let colw = if mask != 0 {
-                    63 - mask.leading_zeros()
-                } else {
-                    0
-                };
-                let tail_terms = model.tail(v).map(Polynomial::num_terms).unwrap_or(0);
-                let growth = occ as usize * tail_terms.saturating_sub(1);
-                let replace = match best {
-                    None => true,
-                    Some((bl, bc, bg, bi)) => {
-                        level > bl || (level == bl && (colw, growth, v.0) < (bc, bg, bi))
+            // Gröbner basis, so the normal form is order-independent. Only
+            // the top level's bucket is scanned.
+            let mut best: Option<(u32, usize, u32)> = None; // (colw, growth, idx)
+            while best.is_none() && top > 0 {
+                for &v in &levels[top - 1] {
+                    let occ = r.occurrences(v);
+                    if occ == 0 {
+                        continue;
                     }
-                };
-                if replace {
-                    best = Some((level, colw, growth, v.0));
+                    let colw = model.column_mask(v).checked_ilog2().unwrap_or(0);
+                    let tail_terms = model.tail(v).map(Polynomial::num_terms).unwrap_or(0);
+                    let key = (colw, occ as usize * tail_terms.saturating_sub(1), v.0);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+                if best.is_none() {
+                    top -= 1;
                 }
             }
-            let newly_retired = active_cols & !next_active & !retired_cols;
-            stats.columns_retired += newly_retired.count_ones() as usize;
-            retired_cols |= newly_retired;
-            active_cols = next_active;
-            let Some((_, _, _, idx)) = best else {
+            let Some((_, _, idx)) = best else {
                 break None;
             };
             let v = Var(idx);
@@ -185,9 +180,50 @@ impl ReductionStrategy for ParallelReduction {
         // so none is built: that would re-hash the whole store.
         let remainder = match stats.stop {
             Some(_) => Polynomial::zero(),
-            None => r.into_polynomial(),
+            None => r.take_polynomial(),
         };
         (remainder, stats)
+    }
+}
+
+/// Step 3's output-column accounting, fed once per step from the store's
+/// presence log. A column is *active* while some live term holds a tracked
+/// variable whose column mask carries it, and *retires* the first time it
+/// stops being active: from then on all of its terms are input-only and
+/// sit in the store's retirement accumulator, outside the indexed hot
+/// path.
+struct Columns {
+    /// Per mask bit, the number of present tracked variables carrying it.
+    carriers: [u32; 64],
+    /// The active columns at the last update.
+    active: u64,
+    /// The columns retired so far.
+    retired: u64,
+}
+
+impl Columns {
+    /// Folds the presence changes since the last update into the column
+    /// counts and returns the number of columns that retired since then.
+    fn update(&mut self, store: &mut IndexedPolynomial, model: &AlgebraicModel) -> usize {
+        store.read_presence_log(|v, present| {
+            let mut mask = model.column_mask(v);
+            while mask != 0 {
+                let carriers = &mut self.carriers[mask.trailing_zeros() as usize];
+                if present {
+                    *carriers += 1;
+                } else {
+                    *carriers -= 1;
+                }
+                mask &= mask - 1;
+            }
+        });
+        let active = (0..64)
+            .filter(|&j| self.carriers[j] > 0)
+            .fold(0u64, |mask, j| mask | 1 << j);
+        let retiring = self.active & !active & !self.retired;
+        self.retired |= retiring;
+        self.active = active;
+        retiring.count_ones() as usize
     }
 }
 
@@ -345,7 +381,7 @@ mod tests {
         };
         let mut stats = PhaseStats::default();
         let result = substitute_step(&mut r, v, &tail, None, &ctx, &mut 0, &mut stats);
-        (r.into_polynomial(), result, stats)
+        (r.take_polynomial(), result, stats)
     }
 
     /// The step's term table equals the plain polynomial substitution of the

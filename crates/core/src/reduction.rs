@@ -23,7 +23,7 @@ use gbmv_poly::{FastMap, Polynomial, Var};
 
 use crate::model::AlgebraicModel;
 use crate::strategy::{PhaseContext, PhaseStats, ReductionStrategy, Stop};
-use crate::vanishing::{VanishingRules, VanishingTracker};
+use crate::vanishing::VanishingRules;
 
 /// The scan-based reduction (Algorithm 1) behind the paper's presets, and
 /// the differential oracle of [`crate::ParallelReduction`]: greedy
@@ -57,7 +57,7 @@ use crate::vanishing::{VanishingRules, VanishingTracker};
 ///   congruent (not equal) to the product, and without intermediate modular
 ///   dropping the congruence excess accumulates millions of terms that the
 ///   final `drop_multiples_of_pow2` would erase anyway;
-/// * `rules`: with `vanishing`, the [`VanishingTracker`] is applied unless
+/// * `rules`: with `vanishing`, the [`crate::VanishingTracker`] is applied unless
 ///   the mode is [`VanishingRules::Off`].
 ///
 /// The remainder only mentions primary-input variables when the reduction
@@ -65,7 +65,7 @@ use crate::vanishing::{VanishingRules, VanishingTracker};
 /// internal variable of `spec`'s cone.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyReduction {
-    /// Apply the [`VanishingTracker`] after every substitution, unless the
+    /// Apply the [`crate::VanishingTracker`] after every substitution, unless the
     /// context's mode is [`VanishingRules::Off`] (required for the
     /// logic-reduction methods). At the synthesized gate level the
     /// reduction can re-create vanishing monomials by multiplying tails of
@@ -92,10 +92,10 @@ impl ReductionStrategy for GreedyReduction {
         spec: &Polynomial,
         ctx: &PhaseContext,
     ) -> (Polynomial, PhaseStats) {
-        // The gate-function index survives rewriting (only tails change), so
-        // the tracker can be built from the rewritten model.
-        let tracker = (self.vanishing && ctx.rules != VanishingRules::Off)
-            .then(|| VanishingTracker::new(model));
+        // The tracker indexes the circuit's gate functions, which rewriting
+        // leaves alone (only tails change), so Step 2's tracker serves here.
+        let tracker =
+            (self.vanishing && ctx.rules != VanishingRules::Off).then(|| model.vanishing_tracker());
         let mut stats = PhaseStats::default();
         let mut r = spec.clone();
         let mut scratch = Polynomial::zero();

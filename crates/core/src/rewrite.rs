@@ -195,7 +195,7 @@ pub(crate) enum RewriteVanishing {
     /// ([`VanishingRules::XorAnd`]). In this mode the rewriter's result is
     /// term-for-term identical to [`gb_rewrite`]'s — the differential
     /// contract pinned by `tests/rewrite_equivalence.rs`.
-    Tracker(VanishingTracker),
+    Tracker(Arc<VanishingTracker>),
     /// The unit-propagation closure ([`VanishingRules::Closure`], the
     /// presets' default), with its query scratch. Cancels strictly more
     /// monomials than the tracker's patterns, trading byte-identity for the
@@ -212,7 +212,7 @@ impl RewriteVanishing {
     pub(crate) fn new(model: &AlgebraicModel, rules: VanishingRules) -> Option<Self> {
         match rules {
             VanishingRules::Off => None,
-            VanishingRules::XorAnd => Some(Self::Tracker(VanishingTracker::new(model))),
+            VanishingRules::XorAnd => Some(Self::Tracker(model.vanishing_tracker())),
             VanishingRules::Closure => {
                 let closure = model.closure_vanishing();
                 let scratch = closure.scratch();
@@ -376,11 +376,15 @@ pub(crate) fn substitute_step(
 ///   the product loop.
 ///
 /// Each step's products come from the loop the indexed reduction shares
-/// (`substitute_step`). The tracked set of each tail's store is its
-/// candidate set, fixed when the store is built: the pass is topologically
-/// ordered, so every replacement tail was fully rewritten earlier in the
-/// same pass (a pass that stops at a limit ends the function), and a
-/// replacement never brings in a new candidate.
+/// (`substitute_step`). The pass keeps one store, sized once by the model's
+/// variable count: each tail [resets](IndexedPolynomial::reset) it to the
+/// tail's candidate set and modulus and
+/// [takes](IndexedPolynomial::take_polynomial) the rewritten tail out of it,
+/// so a tail costs its terms and candidates, not the variable count. The
+/// candidate set is fixed at the reset: the pass is topologically ordered,
+/// so every replacement tail was fully rewritten earlier in the same pass (a
+/// pass that stops at a limit ends the function), and a replacement never
+/// brings in a new candidate.
 ///
 /// The rewritten tails are the canonical post-rewrite form: coefficients in
 /// `[0, 2^k)` when a modulus is given (in `[0, 2^(k - W(v)))` with spec
@@ -421,7 +425,11 @@ pub(crate) fn gb_rewrite_indexed(
     for i in (0..order.len()).rev() {
         suffix[i] = suffix[i + 1] | model.column_mask(order[i]);
     }
-    let var_count = model.var_count();
+    // One store for the whole pass, re-ranked for each tail, and a dense
+    // marker that collects each tail's candidates without a set per tail.
+    let mut store = IndexedPolynomial::new(vec![0; model.var_count()], None);
+    let mut marked = vec![false; model.var_count()];
+    let mut cand: Vec<Var> = Vec::new();
     let mut since_poll = 0usize;
     'pass: for (pos, &v) in order.iter().enumerate() {
         let retiring_cols = (suffix[pos] & !suffix[pos + 1]).count_ones() as usize;
@@ -436,24 +444,24 @@ pub(crate) fn gb_rewrite_indexed(
         // original tail. This matches the scan engine's repeated search —
         // replacements only ever mention keep-set variables and inputs (see
         // above), so the front set shrinks monotonically.
-        let cand: Vec<Var> = tail
-            .vars()
-            .into_iter()
-            .filter(|&u| is_candidate(u))
-            .collect();
+        cand.clear();
+        for u in tail.iter().flat_map(|(m, _)| m.vars()) {
+            if !marked[u.index()] && is_candidate(u) {
+                marked[u.index()] = true;
+                cand.push(u);
+            }
+        }
+        for u in &cand {
+            marked[u.index()] = false;
+        }
         if cand.is_empty() {
             // Nothing to substitute: the scan engine re-stores the identical
             // tail and never applies vanishing to it.
             stats.columns_retired += retiring_cols;
             continue;
         }
-        let mut ranks = vec![0; var_count];
-        for &u in &cand {
-            ranks[u.index()] = 1;
-        }
         let weight = ctx.spec_weights.as_ref().map_or(0, |w| w[v.index()]);
-        let mut store =
-            IndexedPolynomial::new(ranks, ctx.modulus_bits.map(|k| k.saturating_sub(weight)));
+        store.reset(&cand, ctx.modulus_bits.map(|k| k.saturating_sub(weight)));
         for (m, c) in tail.iter() {
             store.add_term(m.clone(), c.clone());
         }
@@ -518,7 +526,7 @@ pub(crate) fn gb_rewrite_indexed(
         // Reassemble even a partially rewritten tail, with the terms a
         // stopped step had not drained yet — the scan engine also stores
         // the tail it had when a limit fired.
-        model.set_tail(v, store.into_polynomial());
+        model.set_tail(v, store.take_polynomial());
         if stats.stop.is_some() {
             break 'pass;
         }

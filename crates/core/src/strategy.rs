@@ -24,7 +24,7 @@ use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
 use crate::reduction::GreedyReduction;
 use crate::rewrite::{gb_rewrite, gb_rewrite_indexed, RewriteVanishing};
-use crate::vanishing::{VanishingRules, VanishingTracker};
+use crate::vanishing::VanishingRules;
 
 /// Everything a phase strategy reads about the run it executes in, and the
 /// only configuration the provided engines have: the term limit, the
@@ -220,10 +220,10 @@ impl RewriteStrategy for FanoutRewrite {
 
 /// XOR rewriting — the first half of MT-LR: the scan rewriter against the
 /// keep-set of XOR inputs/outputs and primary I/O
-/// ([`AlgebraicModel::xor_keep_set`]), applying the [`VanishingTracker`]
-/// after every substitution unless [`PhaseContext::rules`] is
-/// [`VanishingRules::Off`]. The paper's ablation shows it is inefficient on
-/// its own.
+/// ([`AlgebraicModel::xor_keep_set`]), applying the circuit's
+/// [`crate::VanishingTracker`], which the reduction then reuses, after every
+/// substitution unless [`PhaseContext::rules`] is [`VanishingRules::Off`].
+/// The paper's ablation shows it is inefficient on its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct XorRewrite;
 
@@ -234,8 +234,8 @@ impl RewriteStrategy for XorRewrite {
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> PhaseStats {
         let keep = model.xor_keep_set();
-        let tracker = (ctx.rules != VanishingRules::Off).then(|| VanishingTracker::new(model));
-        gb_rewrite(model, &keep, tracker.as_ref(), ctx)
+        let tracker = (ctx.rules != VanishingRules::Off).then(|| model.vanishing_tracker());
+        gb_rewrite(model, &keep, tracker.as_deref(), ctx)
     }
 }
 

@@ -1,7 +1,7 @@
 //! An incrementally indexed term store for the backward-rewriting hot loop.
 //!
 //! [`IndexedPolynomial`] holds the same term multiset as a [`Polynomial`]
-//! but adds the three structures the reduction engine needs to make each
+//! but adds the structures the reduction engine needs to make each
 //! substitution step proportional to the *affected* term set instead of the
 //! whole polynomial:
 //!
@@ -20,6 +20,20 @@
 //!    tracked variable can never be drained again; they are routed to a
 //!    separate accumulator where they still merge and cancel against each
 //!    other, but are never touched by the per-step index maintenance.
+//! 4. **A presence log.** The store records each tracked variable whose
+//!    occurrence count crosses zero, at most once between two
+//!    [reads](IndexedPolynomial::read_presence_log), so a caller can keep
+//!    per-variable facts about the present variables (the reduction
+//!    engine's output columns) without scanning every count.
+//!
+//! # Reuse
+//!
+//! The per-variable tables are sized once, by [`IndexedPolynomial::new`].
+//! [`IndexedPolynomial::take_polynomial`] empties the store into a
+//! [`Polynomial`], and [`IndexedPolynomial::reset`] re-ranks it for the next
+//! tail and modulus; each costs the store's terms plus its tracked
+//! variables, not the table length. A reset store behaves exactly like a
+//! fresh one, so the Step-2 rewriter keeps one store for a whole pass.
 //!
 //! # Index invariants
 //!
@@ -29,6 +43,7 @@
 //!   reused); staleness is detected at drain time by re-checking that the
 //!   slot is live *and* its monomial still contains the drained variable.
 //! * Occurrence counts cover every tracked variable, whatever its rank.
+//!   Untracked variables hold no handles and no counts.
 //! * The lookup table addresses terms by their cached monomial hash, so the
 //!   monomial bytes are stored exactly once (in the slot arena).
 //! * With a modulus `2^k`, a term is present iff its exact coefficient is
@@ -42,11 +57,13 @@
 //! `debug_assert!` on every drain. Every live term containing `v` then has
 //! `v` among its top-rank variables, so `v`'s list reaches all of them.
 //! While a drain of `v` is open, the terms added to the store must not
-//! contain `v`. The reduction engine ranks each variable by its logic level
-//! plus one and always drains from the highest level present, so a term is
-//! indexed only under its highest-level variables; a store whose tracked
-//! variables all share rank `1` indexes each term under every tracked
-//! variable it contains and may drain any of them.
+//! contain `v`, so once [`IndexedPolynomial::occurrences`] of `v` reads `0`
+//! every handle left is stale and the drain ends without visiting them. The
+//! reduction engine ranks each variable by its logic level plus one and
+//! always drains from the highest level present, so a term is indexed only
+//! under its highest-level variables; a store whose tracked variables all
+//! share rank `1` indexes each term under every tracked variable it
+//! contains and may drain any of them.
 //!
 //! A substitution step drains `v` and adds each drained term's products
 //! before it draws the next one, so the products refill the slots the
@@ -63,11 +80,14 @@ use crate::{FastMap, Int, Monomial, Polynomial, Var};
 const EMPTY: u32 = u32::MAX;
 /// Bucket marker: an entry was removed here (probe chains continue).
 const TOMB: u32 = u32::MAX - 1;
+/// The size of the lookup table of an empty store.
+const MIN_BUCKETS: usize = 64;
 
 /// A term store with a ranked inverted var→term index, optional canonical
-/// mod-`2^k` coefficients, and an accumulator that retires terms no longer
-/// reachable by any substitution. See the module docs for the
-/// invariants and the drain contract.
+/// mod-`2^k` coefficients, an accumulator that retires terms no longer
+/// reachable by any substitution, and a log of the tracked variables whose
+/// presence changed. See the module docs for the invariants and the drain
+/// contract.
 #[derive(Debug, Clone)]
 pub struct IndexedPolynomial {
     /// Slot arena: `None` slots are free (their ids are on `free`).
@@ -87,6 +107,11 @@ pub struct IndexedPolynomial {
     ranks: Vec<u32>,
     /// Live-term occurrence counts per variable (tracked variables only).
     counts: Vec<u32>,
+    /// The variables of nonzero rank, so that emptying and re-ranking the
+    /// store visit them alone.
+    tracked: Vec<Var>,
+    /// The tracked variables whose count crossed zero since the last read.
+    presence: PresenceLog,
     /// Terms with no tracked variable: they merge and cancel against each
     /// other but are exempt from all index maintenance.
     inert: FastMap<Monomial, Int>,
@@ -94,6 +119,27 @@ pub struct IndexedPolynomial {
     modulus_bits: Option<u32>,
     /// Terms removed through the inverted index by a [`Drain`].
     index_hits: u64,
+}
+
+/// The tracked variables whose occurrence count crossed zero since the last
+/// [`IndexedPolynomial::read_presence_log`], each logged once.
+#[derive(Debug, Clone)]
+struct PresenceLog {
+    /// Each logged variable, with whether it occurred at the last read.
+    entries: Vec<(Var, bool)>,
+    /// Whether each variable is in `entries`; indexed by `Var::index`.
+    logged: Vec<bool>,
+}
+
+impl PresenceLog {
+    /// Logs that the count of `v` just crossed zero, leaving the side
+    /// `was_present`, unless `v` is logged already: its first crossing
+    /// since the last read holds its presence at that read.
+    fn record(&mut self, v: Var, was_present: bool) {
+        if !std::mem::replace(&mut self.logged[v.index()], true) {
+            self.entries.push((v, was_present));
+        }
+    }
 }
 
 impl IndexedPolynomial {
@@ -105,15 +151,24 @@ impl IndexedPolynomial {
     /// `2^k`.
     pub fn new(ranks: Vec<u32>, modulus_bits: Option<u32>) -> IndexedPolynomial {
         let n = ranks.len();
+        let tracked = (0..n)
+            .filter(|&i| ranks[i] > 0)
+            .map(|i| Var(i as u32))
+            .collect();
         IndexedPolynomial {
             slots: Vec::new(),
             free: Vec::new(),
-            buckets: vec![EMPTY; 64],
+            buckets: vec![EMPTY; MIN_BUCKETS],
             items: 0,
             tombs: 0,
             var_index: vec![Vec::new(); n],
             ranks,
             counts: vec![0; n],
+            tracked,
+            presence: PresenceLog {
+                entries: Vec::new(),
+                logged: vec![false; n],
+            },
             inert: FastMap::default(),
             modulus_bits,
             index_hits: 0,
@@ -132,6 +187,33 @@ impl IndexedPolynomial {
             ix.add_term(m.clone(), c.clone());
         }
         ix
+    }
+
+    /// Empties the store and re-ranks it: afterwards it behaves exactly like
+    /// `IndexedPolynomial::new(ranks, modulus_bits)` with rank `1` for every
+    /// variable of `tracked` and `0` for every other, its presence log and
+    /// index hits included. Costs the store's terms plus the tracked
+    /// variables before and after, not the length of its tables (which
+    /// grow when `tracked` names a variable beyond them).
+    pub fn reset(&mut self, tracked: &[Var], modulus_bits: Option<u32>) {
+        self.clear();
+        self.read_presence_log(|_, _| {});
+        for v in self.tracked.drain(..) {
+            self.ranks[v.index()] = 0;
+        }
+        let n = tracked.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        if n > self.ranks.len() {
+            self.ranks.resize(n, 0);
+            self.counts.resize(n, 0);
+            self.var_index.resize_with(n, Vec::new);
+            self.presence.logged.resize(n, false);
+        }
+        for &v in tracked {
+            self.ranks[v.index()] = 1;
+        }
+        self.tracked.extend_from_slice(tracked);
+        self.modulus_bits = modulus_bits;
+        self.index_hits = 0;
     }
 
     /// Number of present terms (live + retired accumulator).
@@ -161,15 +243,26 @@ impl IndexedPolynomial {
         self.counts.get(v.index()).copied().unwrap_or(0)
     }
 
-    /// Per-variable live occurrence counts, indexed by `Var::index`
-    /// (meaningful for tracked variables only).
-    pub fn occurrence_counts(&self) -> &[u32] {
-        &self.counts
-    }
-
     /// Terms removed through the inverted index so far.
     pub fn index_hits(&self) -> u64 {
         self.index_hits
+    }
+
+    /// Reads the presence log and empties it: calls `visit(v, present)`
+    /// once for every tracked variable whose presence (a nonzero
+    /// [`Self::occurrences`]) differs from the previous read, where
+    /// `present` is its presence now. The first read after
+    /// [`Self::new`] or [`Self::reset`] compares against an empty store.
+    /// Costs the variables whose count crossed zero since the previous
+    /// read.
+    pub fn read_presence_log(&mut self, mut visit: impl FnMut(Var, bool)) {
+        for (v, was_present) in self.presence.entries.drain(..) {
+            self.presence.logged[v.index()] = false;
+            let present = self.counts[v.index()] > 0;
+            if present != was_present {
+                visit(v, present);
+            }
+        }
     }
 
     fn canon(&self, c: Int) -> Int {
@@ -189,11 +282,10 @@ impl IndexedPolynomial {
 
     /// The highest rank a live term holds (`0` when no term is live).
     fn top_present_rank(&self) -> u32 {
-        self.counts
+        self.tracked
             .iter()
-            .zip(&self.ranks)
-            .filter(|&(&occ, _)| occ > 0)
-            .map(|(_, &rank)| rank)
+            .filter(|v| self.counts[v.index()] > 0)
+            .map(|v| self.ranks[v.index()])
             .max()
             .unwrap_or(0)
     }
@@ -292,11 +384,36 @@ impl IndexedPolynomial {
         removed + (before - self.inert.len())
     }
 
-    /// Consumes the store and reassembles a plain [`Polynomial`] (live
-    /// terms plus the retirement accumulator; the two sets are disjoint by
-    /// construction).
-    pub fn into_polynomial(self) -> Polynomial {
-        Polynomial::from_terms(self.slots.into_iter().flatten().chain(self.inert))
+    /// Empties the store into a plain [`Polynomial`] (live terms plus the
+    /// retirement accumulator; the two sets are disjoint by construction).
+    /// The store keeps its ranks and modulus, and the tracked variables that
+    /// occurred go on the presence log. Costs the store's terms plus its
+    /// tracked variables.
+    pub fn take_polynomial(&mut self) -> Polynomial {
+        let inert = std::mem::take(&mut self.inert);
+        let p = Polynomial::from_terms(self.slots.drain(..).flatten().chain(inert));
+        self.clear();
+        p
+    }
+
+    /// Removes every term and handle, logging the tracked variables that
+    /// occurred. The accumulator is replaced rather than cleared: a map
+    /// that kept its capacity would hand out its terms in another order
+    /// than a fresh store's.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.inert = FastMap::default();
+        self.buckets.clear();
+        self.buckets.resize(MIN_BUCKETS, EMPTY);
+        self.items = 0;
+        self.tombs = 0;
+        for &v in &self.tracked {
+            self.var_index[v.index()].clear();
+            if std::mem::take(&mut self.counts[v.index()]) > 0 {
+                self.presence.record(v, true);
+            }
+        }
     }
 
     fn insert_live(&mut self, bucket: usize, monomial: Monomial, coeff: Int) {
@@ -321,7 +438,11 @@ impl IndexedPolynomial {
         for v in m.vars() {
             let rank = self.rank(v);
             if rank > 0 {
-                self.counts[v.index()] += 1;
+                let count = &mut self.counts[v.index()];
+                *count += 1;
+                if *count == 1 {
+                    self.presence.record(v, false);
+                }
                 top = top.max(rank);
             }
         }
@@ -343,7 +464,11 @@ impl IndexedPolynomial {
         self.free.push(id);
         for v in m.vars() {
             if self.rank(v) > 0 {
-                self.counts[v.index()] -= 1;
+                let count = &mut self.counts[v.index()];
+                *count -= 1;
+                if *count == 0 {
+                    self.presence.record(v, true);
+                }
             }
         }
         (m, c)
@@ -399,7 +524,7 @@ impl IndexedPolynomial {
         if (self.items + self.tombs) * 8 <= self.buckets.len() * 7 {
             return;
         }
-        let new_len = (self.items * 2).next_power_of_two().max(64);
+        let new_len = (self.items * 2).next_power_of_two().max(MIN_BUCKETS);
         let mut buckets = vec![EMPTY; new_len];
         let mask = new_len - 1;
         for (id, slot) in self.slots.iter().enumerate() {
@@ -448,6 +573,29 @@ impl IndexedPolynomial {
         }
         assert_eq!(live, self.items, "live-term count drifted");
         assert_eq!(counts, self.counts, "occurrence counts drifted");
+        let ranked: Vec<Var> = (0..self.ranks.len())
+            .filter(|&i| self.ranks[i] > 0)
+            .map(|i| Var(i as u32))
+            .collect();
+        let mut tracked = self.tracked.clone();
+        tracked.sort_unstable();
+        tracked.dedup();
+        assert_eq!(tracked, ranked, "tracked list drifted from the ranks");
+        for (i, list) in self.var_index.iter().enumerate() {
+            assert!(
+                self.ranks[i] > 0 || list.is_empty(),
+                "untracked variable {i} holds handles"
+            );
+        }
+        let logged = self.presence.logged.iter().filter(|&&l| l).count();
+        assert_eq!(
+            logged,
+            self.presence.entries.len(),
+            "presence flags drifted"
+        );
+        for &(v, _) in &self.presence.entries {
+            assert!(self.presence.logged[v.index()], "{v:?} logged unflagged");
+        }
         for (m, c) in &self.inert {
             assert!(!c.is_zero(), "retired zero coefficient");
             if let Some(k) = self.modulus_bits {
@@ -485,9 +633,12 @@ pub struct Drain {
 
 impl Drain {
     /// Removes the next live term containing the drained variable from
-    /// `store` and returns it, or `None` once every such term has left.
+    /// `store` and returns it, or `None` once every such term has left. It
+    /// stops as soon as the variable's occurrence count reads `0`: under
+    /// the drain contract every handle left is then stale.
     pub fn next(&mut self, store: &mut IndexedPolynomial) -> Option<(Monomial, Int)> {
-        for id in self.handles.by_ref() {
+        while store.occurrences(self.v) > 0 {
+            let id = self.handles.next()?;
             // Stale handles: the slot died, or was reused by a monomial that
             // does not contain `v`. (A reused slot whose monomial *does*
             // contain `v` is a legitimate drain target — the reuse also
@@ -517,6 +668,7 @@ impl Drain {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn mono(vars: &[u32]) -> Monomial {
         Monomial::from_vars(vars.iter().map(|&v| Var(v)))
@@ -537,6 +689,28 @@ mod tests {
         std::iter::from_fn(|| drain.next(ix)).collect()
     }
 
+    /// The terms of `p` in its iteration order.
+    fn in_order(p: Polynomial) -> Vec<(Monomial, Int)> {
+        p.iter().map(|(m, c)| (m.clone(), c.clone())).collect()
+    }
+
+    /// Folds the presence log into `present`, the variables the previous
+    /// reads left present: each variable read must change its membership,
+    /// and afterwards `present` holds exactly the variables below `n` that
+    /// occur.
+    fn fold_presence(ix: &mut IndexedPolynomial, present: &mut BTreeSet<Var>, n: u32) {
+        ix.read_presence_log(|v, now| {
+            let changed = if now {
+                present.insert(v)
+            } else {
+                present.remove(&v)
+            };
+            assert!(changed, "{v:?} read without a change (present: {now})");
+        });
+        let occurring: BTreeSet<Var> = (0..n).map(Var).filter(|&v| ix.occurrences(v) > 0).collect();
+        assert_eq!(*present, occurring, "the folded presence log drifted");
+    }
+
     #[test]
     fn insert_merge_cancel_roundtrip() {
         let mut ix = IndexedPolynomial::new(tracked(4, &[2, 3]), None);
@@ -551,7 +725,7 @@ mod tests {
         ix.add_term(mono(&[0, 2]), Int::from(-2)); // cancels to zero
         assert_eq!(ix.num_terms(), 2);
         ix.assert_consistent();
-        let p = ix.into_polynomial();
+        let p = ix.take_polynomial();
         assert_eq!(p.coeff(&mono(&[0, 1])), Int::from(5));
         assert_eq!(p.coeff(&mono(&[3])), Int::from(7));
         assert_eq!(p.num_terms(), 2);
@@ -602,7 +776,7 @@ mod tests {
         ix.add_term(mono(&[0, 1]), Int::from(-1)); // canonicalized to 7
         ix.add_term(mono(&[1]), Int::from(16)); // retired path: ≡ 0, dropped
         assert_eq!(ix.num_terms(), 1);
-        let p = ix.into_polynomial();
+        let p = ix.take_polynomial();
         assert_eq!(p.coeff(&mono(&[0, 1])), Int::from(7));
         // Retired-path merge to zero.
         let mut ix = IndexedPolynomial::new(tracked(3, &[0]), Some(3));
@@ -665,7 +839,7 @@ mod tests {
                     Some(k) => reference.mod_coeffs_pow2(k),
                     None => reference.clone(),
                 };
-                prop_assert_eq!(ix.into_polynomial(), canonical);
+                prop_assert_eq!(ix.take_polynomial(), canonical);
             }
         }
     }
@@ -711,6 +885,7 @@ mod tests {
             for modulus in [None, Some(modulus_k + 1)] {
                 // Variables 0 to 2 are tracked; 3 to 5 only ever retire.
                 let mut ix = IndexedPolynomial::new(tracked(6, &[0, 1, 2]), modulus);
+                let mut present = BTreeSet::new();
                 let mut reference = Polynomial::zero();
                 for (sel, vars, c) in &ops {
                     match sel {
@@ -752,12 +927,14 @@ mod tests {
                         }
                     }
                     ix.assert_consistent();
+                    fold_presence(&mut ix, &mut present, 6);
                 }
                 let canonical = match modulus {
                     Some(k) => reference.mod_coeffs_pow2(k),
                     None => reference.clone(),
                 };
-                prop_assert_eq!(ix.into_polynomial(), canonical);
+                prop_assert_eq!(ix.take_polynomial(), canonical);
+                fold_presence(&mut ix, &mut present, 6);
             }
         }
     }
@@ -870,9 +1047,11 @@ mod tests {
                     None => c.clone(),
                 };
                 let mut ix = IndexedPolynomial::new(ranks.clone(), modulus);
+                let mut folded = BTreeSet::new();
                 let mut mirror = Polynomial::zero();
                 for (vars, c) in &terms {
                     ix.add_term(mono(vars), Int::from(*c));
+                    fold_presence(&mut ix, &mut folded, 8);
                     mirror.add_term(mono(vars), Int::from(*c));
                 }
                 ix.assert_consistent();
@@ -906,6 +1085,7 @@ mod tests {
                         ix.add_term(product.clone(), c.clone());
                         mirror.add_term(product, c.clone());
                         got.push((m, c));
+                        fold_presence(&mut ix, &mut folded, 8);
                     }
                     got.sort_by(|a, b| a.0.cmp(&b.0));
                     if got.len() < *stop_after {
@@ -925,13 +1105,112 @@ mod tests {
                     }
                     prop_assert_eq!(reached, got.len(), "drained a term the mirror lacks");
                     ix.assert_consistent();
+                    fold_presence(&mut ix, &mut folded, 8);
                 }
                 let canonical = match modulus {
                     Some(k) => mirror.mod_coeffs_pow2(k),
                     None => mirror,
                 };
-                prop_assert_eq!(ix.into_polynomial(), canonical);
+                prop_assert_eq!(ix.take_polynomial(), canonical);
+                fold_presence(&mut ix, &mut folded, 8);
             }
+        }
+    }
+    /// A store that once held many retired terms hands the terms of its
+    /// next tail out in a fresh store's order: the retirement accumulator
+    /// does not keep the capacity of an earlier tail.
+    #[test]
+    fn a_reset_store_takes_terms_in_a_fresh_stores_order() {
+        let few: Vec<Monomial> = (0..6u32).map(|v| mono(&[v, v + 1])).collect();
+        let mut reused = IndexedPolynomial::new(vec![0; 64], None);
+        for v in 0..60u32 {
+            reused.add_term(mono(&[v]), Int::one());
+        }
+        reused.take_polynomial();
+        reused.reset(&[Var(63)], None);
+        let mut fresh = IndexedPolynomial::new(tracked(64, &[63]), None);
+        for m in &few {
+            reused.add_term(m.clone(), Int::one());
+            fresh.add_term(m.clone(), Int::one());
+        }
+        assert_eq!(
+            in_order(reused.take_polynomial()),
+            in_order(fresh.take_polynomial())
+        );
+    }
+
+    proptest! {
+        /// One store, reset to random tracked sets and moduli between random
+        /// `add_term`s, sweeps, drains, abandoned drains and
+        /// `take_polynomial`s, behaves exactly like a fresh
+        /// `IndexedPolynomial::new` built at each reset and fed the same
+        /// operations: the same drained terms in the same order, the same
+        /// counts and index hits, the same taken polynomials in the same
+        /// term order, and the same presence log. Its tables start shorter
+        /// than the variables it tracks.
+        #[test]
+        fn a_reset_store_behaves_like_a_fresh_one(
+            ops in proptest::collection::vec(
+                (0u32..12, proptest::collection::vec(0u32..8, 0..4), -4i64..5),
+                1..60,
+            ),
+        ) {
+            let mut reused = IndexedPolynomial::new(vec![0; 3], None);
+            let mut fresh = IndexedPolynomial::new(vec![0; 3], None);
+            let (mut reused_present, mut fresh_present) = (BTreeSet::new(), BTreeSet::new());
+            for (sel, vars, c) in &ops {
+                let v = Var(vars.first().copied().unwrap_or(*sel) % 8);
+                let m = Monomial::from_vars(vars.iter().map(|&u| Var(u)));
+                match sel {
+                    0 | 1 => {
+                        let modulus = u32::try_from(*c).ok().filter(|&k| k > 0);
+                        reused.reset(&vars.iter().map(|&u| Var(u)).collect::<Vec<_>>(), modulus);
+                        fresh = IndexedPolynomial::new(tracked(8, vars), modulus);
+                        reused_present.clear();
+                        fresh_present.clear();
+                    }
+                    2..=6 => {
+                        reused.add_term(m.clone(), Int::from(*c));
+                        fresh.add_term(m, Int::from(*c));
+                    }
+                    7 => {
+                        prop_assert_eq!(
+                            reused.retain_terms(|m| !m.contains(v)),
+                            fresh.retain_terms(|m| !m.contains(v))
+                        );
+                    }
+                    8 | 9 => prop_assert_eq!(drain_all(&mut reused, v), drain_all(&mut fresh, v)),
+                    10 => {
+                        // One term drained, its residual added back, then
+                        // the drain abandoned.
+                        for ix in [&mut reused, &mut fresh] {
+                            let mut drain = ix.drain_containing(v);
+                            if let Some((m, c)) = drain.next(ix) {
+                                ix.add_term(m.without(v), c);
+                            }
+                            drain.abandon(ix);
+                        }
+                    }
+                    _ => prop_assert_eq!(
+                        in_order(reused.take_polynomial()),
+                        in_order(fresh.take_polynomial())
+                    ),
+                }
+                reused.assert_consistent();
+                fresh.assert_consistent();
+                prop_assert_eq!(reused.live_terms(), fresh.live_terms());
+                prop_assert_eq!(reused.retired_terms(), fresh.retired_terms());
+                prop_assert_eq!(reused.index_hits(), fresh.index_hits());
+                for u in (0..8).map(Var) {
+                    prop_assert_eq!(reused.occurrences(u), fresh.occurrences(u));
+                }
+                fold_presence(&mut reused, &mut reused_present, 8);
+                fold_presence(&mut fresh, &mut fresh_present, 8);
+            }
+            prop_assert_eq!(
+                in_order(reused.take_polynomial()),
+                in_order(fresh.take_polynomial())
+            );
         }
     }
 }

@@ -103,12 +103,27 @@ fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Rep
     }
 }
 
+/// A completed `MT-LR-PAR` reduction retires every one of the `2n` output
+/// columns of a width-`n` multiplier: each output occurs in the spec, and
+/// none is left at the end. Column masks do not alias below width 32.
+fn assert_every_column_retires(netlist: &Netlist, width: usize, par: &Report, label: &str) {
+    if matches!(par.outcome, Outcome::Verified | Outcome::Mismatch { .. }) {
+        assert_eq!(
+            par.stats.reduction.columns_retired,
+            2 * width,
+            "{}: retired columns ({label})",
+            netlist.name()
+        );
+    }
+}
+
 /// The oracle pass over one circuit: the MT-LR reference, and `MT-LR-PAR`
 /// against it. Returns the reference.
 fn check_against_oracle(netlist: &Netlist, width: usize, budget: Budget) -> Report {
     let reference = run(netlist, width, Method::MtLr, budget);
     let par = run(netlist, width, Method::MtLrPar, budget);
     assert_outcome_matches(netlist, &reference, &par, "MT-LR-PAR");
+    assert_every_column_retires(netlist, width, &par, "MT-LR-PAR");
     reference
 }
 
@@ -123,6 +138,7 @@ fn check_xor_and_mode(netlist: &Netlist, width: usize, budget: Budget, reference
         VanishingRules::XorAnd,
     );
     assert_outcome_matches(netlist, reference, &par, "MT-LR-PAR, XorAnd mode");
+    assert_every_column_retires(netlist, width, &par, "MT-LR-PAR, XorAnd mode");
 }
 
 /// Every genmul architecture at width 4.
@@ -160,6 +176,43 @@ fn paper_architectures_widths_5_6_match_mt_lr() {
                 .build();
             check_against_oracle(&netlist, width, budget);
         }
+    }
+}
+
+/// Step 3's substitution order, pinned through the counts it yields: the
+/// reduction phase's substitutions, index hits, cancelled monomials, peak
+/// and retired columns on three designs, as the engine read them when every
+/// step scanned every occurrence count.
+#[test]
+fn reduction_counts_pin_the_substitution_order() {
+    // (architecture, width, substitutions, index hits, cancelled, peak, columns)
+    let pins = [
+        ("SP-RT-KS", 6, 177, 51_656, 93_620, 18_594, 12),
+        ("SP-DT-HC", 6, 117, 1_766, 787, 1_175, 12),
+        ("BP-WT-CL", 8, 188, 514, 160, 264, 16),
+    ];
+    let budget = Budget {
+        deadline: None,
+        ..Budget::default()
+    };
+    for (arch, width, substitutions, index_hits, cancelled, peak, columns) in pins {
+        let netlist = MultiplierSpec::parse(arch, width)
+            .expect("architecture")
+            .build();
+        let report = run(&netlist, width, Method::MtLrPar, budget);
+        assert!(report.outcome.is_verified(), "{arch} w{width}");
+        let r = &report.stats.reduction;
+        assert_eq!(
+            (
+                r.substitutions,
+                r.index_hits,
+                r.cancelled_vanishing,
+                r.peak_terms,
+                r.columns_retired
+            ),
+            (substitutions, index_hits, cancelled, peak, columns),
+            "{arch} w{width}"
+        );
     }
 }
 
